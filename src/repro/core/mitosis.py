@@ -317,9 +317,10 @@ class Mitosis:  # reprolint: owner=machine
                 vma.dct_key = vd.dct_key
                 vma.dct_owner_machine = parent_machine
 
-            for vpn, snap in descriptor.pte_snapshots.items():
-                pte = task.address_space.page_table.ensure(vpn)
-                pte.mark_remote(snap.remote_pfn, owner_hop=snap.owner_hop)
+            # Every snapshot page is remote until touched; the table
+            # builds each PTE on first touch (priced in the lump above).
+            task.address_space.page_table.attach_snapshot(
+                descriptor.pte_snapshots)
 
             task.predecessors = (
                 [(parent_machine, descriptor)] + list(descriptor.predecessors))

@@ -69,10 +69,18 @@ class PagerResilience:  # reprolint: owner=machine
 
 
 class SharedPageCache:  # reprolint: owner=machine
-    """Per-machine cache of fetched remote pages, keyed by (descriptor, vpn)."""
+    """Per-machine cache of fetched remote pages, keyed by (descriptor, vpn).
+
+    A dead frame reads as a miss, but its entry would stay until that
+    exact key is looked up again — never, for a retired descriptor.  So
+    each time the cache has doubled since its last sweep, :meth:`insert`
+    drops every dead entry: amortized O(1) per insert, and the cache
+    stays within twice the live frames it held at its last sweep.
+    """
 
     def __init__(self):
         self._frames = {}
+        self._sweep_at = 0
         self.hits = 0
         self.misses = 0
 
@@ -103,7 +111,12 @@ class SharedPageCache:  # reprolint: owner=machine
 
     def insert(self, descriptor_uid, vpn, frame):
         """Cache a fetched frame under (descriptor, vpn)."""
-        self._frames[(descriptor_uid, vpn)] = frame
+        frames = self._frames
+        frames[(descriptor_uid, vpn)] = frame
+        if len(frames) >= self._sweep_at:
+            self._frames = {key: cached for key, cached in frames.items()
+                            if cached.live}
+            self._sweep_at = 2 * len(self._frames)
 
     def __len__(self):
         return len(self._frames)

@@ -91,7 +91,7 @@ class Kernel:  # reprolint: owner=machine
 
     def release_task(self, task):
         """Free every resident frame and forget the task."""
-        for vpn, pte in list(task.address_space.page_table.entries()):
+        for _, pte in task.address_space.page_table.materialized():
             if pte.present and pte.frame is not None:
                 self.frames.unref(pte.unmap())
         self.tasks.pop(task.pid, None)

@@ -140,36 +140,94 @@ class Pte:  # reprolint: owner=machine
             bits, self.frame, self.remote_pfn, self.owner_index)
 
 
+def _remote_pte(snap):
+    """A remote PTE for one descriptor snapshot entry (§4.3)."""
+    pte = Pte()
+    pte.mark_remote(snap.remote_pfn, owner_hop=snap.owner_hop)
+    return pte
+
+
 class PageTable:  # reprolint: owner=machine
-    """Sparse vpn -> PTE map for one address space."""
+    """Sparse vpn -> PTE map for one address space.
+
+    A resumed child's table sits over its descriptor's PTE snapshot map
+    (:meth:`attach_snapshot`) instead of copying it: a snapshot vpn
+    missing from the local map becomes a real remote PTE, built through
+    :meth:`Pte.mark_remote`, the first time :meth:`entry` or
+    :meth:`ensure` sees it — read-on-access applied to the page table
+    itself.
+
+    ``len``, ``in``, :meth:`entries`, :meth:`remote_vpns` and
+    :attr:`nbytes` see the whole overlay, in the order an eager copy
+    would have had: snapshot order first, then locally added vpns in
+    insertion order.  :meth:`materialized` and :meth:`present_vpns` walk
+    only the real PTEs — an untouched snapshot entry never holds a frame.
+    """
 
     def __init__(self):
         self._entries = {}
+        #: The attached vpn -> PteSnapshot map, or None.  Never mutated.
+        self._base = None
+
+    def attach_snapshot(self, snapshots):
+        """Overlay this fresh table on a descriptor's ``vpn ->
+        PteSnapshot`` map, which must stay unchanged from then on."""
+        self._base = snapshots
 
     def __len__(self):
-        return len(self._entries)
+        base = self._base
+        if base is None:
+            return len(self._entries)
+        return len(base) + sum(1 for vpn in self._entries if vpn not in base)
 
     def __contains__(self, vpn):
-        return vpn in self._entries
+        return vpn in self._entries or (
+            self._base is not None and vpn in self._base)
+
+    def _materialize(self, vpn):
+        """The PTE for an untouched snapshot vpn, or None."""
+        snap = self._base.get(vpn)
+        if snap is None:
+            return None
+        pte = self._entries[vpn] = _remote_pte(snap)
+        return pte
 
     def entry(self, vpn):
         """The PTE for ``vpn``, or None when nothing is mapped there."""
-        return self._entries.get(vpn)
+        pte = self._entries.get(vpn)
+        if pte is None and self._base is not None:
+            return self._materialize(vpn)
+        return pte
 
     def ensure(self, vpn):
         """The PTE for ``vpn``, creating an empty one if needed."""
-        pte = self._entries.get(vpn)
+        pte = self.entry(vpn)
         if pte is None:
-            pte = Pte()
-            self._entries[vpn] = pte
+            pte = self._entries[vpn] = Pte()
         return pte
 
-    def drop(self, vpn):
-        """Remove the PTE for ``vpn`` if present."""
-        self._entries.pop(vpn, None)
-
     def entries(self):
-        """Iterate (vpn, pte) pairs."""
+        """Iterate (vpn, pte) pairs over the whole table.
+
+        Flattens an attached snapshot first: every untouched snapshot vpn
+        becomes a real PTE, and the map takes the eager copy's order.
+        """
+        base = self._base
+        if base is not None:
+            local = self._entries
+            flat = {vpn: local.get(vpn) or _remote_pte(snap)
+                    for vpn, snap in base.items()}
+            flat.update(local)
+            self._entries = flat
+            self._base = None
+        return self._entries.items()
+
+    def materialized(self):
+        """Iterate (vpn, pte) pairs of the real PTEs only.
+
+        Frame walks use this: it neither pays for nor changes the
+        untouched part of an attached snapshot.
+        """
         return self._entries.items()
 
     def present_vpns(self):
@@ -178,9 +236,9 @@ class PageTable:  # reprolint: owner=machine
 
     def remote_vpns(self):
         """All vpns with the remote bit set."""
-        return [vpn for vpn, pte in self._entries.items() if pte.remote]
+        return [vpn for vpn, pte in self.entries() if pte.remote]
 
     @property
     def nbytes(self):
         """Serialized size of the table (descriptor accounting)."""
-        return len(self._entries) * params.DESCRIPTOR_PER_PTE_BYTES
+        return len(self) * params.DESCRIPTOR_PER_PTE_BYTES

@@ -79,7 +79,9 @@ def audit_frame_refcounts(kernels):
         mapped = {}
         frames = {}
         for task in kernel.tasks.values():
-            for vpn, pte in task.address_space.page_table.entries():
+            # Untouched snapshot entries hold no frame; walking only the
+            # real PTEs keeps the audit from flattening an overlay.
+            for vpn, pte in task.address_space.page_table.materialized():
                 if pte.present and pte.frame is not None:
                     frames[id(pte.frame)] = pte.frame
                     mapped[id(pte.frame)] = mapped.get(id(pte.frame), 0) + 1

@@ -1,0 +1,204 @@
+"""Golden digests for the default path (no ``REPRO_*`` knob armed).
+
+Three small MITOSIS rigs run with every opt-in layer off:
+
+* ``fork_burst`` — 48 TC0 forks due within 1 ms on 8 invokers;
+* ``spike`` — a short open-loop spike of two bursts into 2 invokers;
+* ``chains`` — 16 three-hop ``fork_prepare``/``fork_resume`` chains on
+  8 invokers, each tail reading every hop's payload back.
+
+Each rig pins ``events_processed``, the final ``env.now`` and a sha256
+over its per-invocation (or per-hop) record tuples against
+``tests/golden/<rig>.json``.  A mismatch means the default path's
+simulated behaviour moved.  The test only compares; rewriting the files
+is the explicit step ``PYTHONPATH=src python tests/golden/regen.py``,
+and a change that does it must say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro import params
+from repro.fn import FnCluster, MitosisPolicy
+from repro.kernel import VmaKind
+from repro.workloads import execute, tc0_profile
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+
+#: chains: closed-loop clients, chains in all, hops per chain, payload
+#: pages each hop writes, and the heap offset the payload starts at.
+CHAIN_CLIENTS = 8
+CHAINS = 16
+CHAIN_HOPS = 3
+CHAIN_PAGES = 32
+CHAIN_PAYLOAD_OFFSET = 100
+
+
+def _cluster(invokers, machines):
+    """A MITOSIS FnCluster with TC0 registered (seed provisioned)."""
+    fn = FnCluster(MitosisPolicy(), num_invokers=invokers,
+                   num_machines=machines, num_dfs_osds=2, seed=0)
+    profile = tc0_profile()
+    fn.env.run(fn.env.process(fn.register(profile)))
+    return fn, profile
+
+
+def _open_loop(fn, profile, due_times):
+    """Submit one TC0 invocation at each due time, run dry, and return
+    one record tuple per submission, in submission order."""
+    env = fn.env
+    start = env.now
+    procs = []
+
+    def submitter():
+        for offset in due_times:
+            due = start + offset
+            if due > env.now:
+                yield env.timeout(due - env.now)
+            procs.append(fn.submit(profile.name))
+
+    env.process(submitter())
+    env.run()
+    records = []
+    for index, proc in enumerate(procs):
+        r = proc.value
+        records.append((index, r.submitted_at, r.started_at, r.finished_at,
+                        r.start_kind, r.invoker_index, r.outcome,
+                        r.attempts))
+    return records
+
+
+def _payload(chain, hop, offset):
+    return "c%d/h%d/p%d" % (chain, hop, offset)
+
+
+def _payload_base(container):
+    for vma in container.task.address_space.vmas:
+        if vma.kind == VmaKind.HEAP:
+            return vma.start_vpn + CHAIN_PAYLOAD_OFFSET
+    raise ValueError("no heap VMA in %r" % (container,))
+
+
+def _chain(fn, profile, seed_meta, index):
+    """One chain.  Generator returning one record per hop plus the
+    read-back record (which carries the payload miss count)."""
+    env = fn.env
+    containers, prepared, records = [], [], []
+    meta, parent_node = seed_meta, None
+    for hop in range(CHAIN_HOPS):
+        invoker = fn.invokers[(index + 3 * hop) % len(fn.invokers)]
+        node = fn.deployment.node(invoker.machine)
+        if parent_node is not None:
+            meta = yield from parent_node.fork_prepare(containers[-1])
+            prepared.append((parent_node, meta))
+        container = yield from node.fork_resume(meta)
+        invoker.track(container)
+        containers.append(container)
+        yield from execute(env, container, profile)
+        base = _payload_base(container) + hop * CHAIN_PAGES
+        for offset in range(CHAIN_PAGES):
+            yield from container.kernel.write_page(
+                container.task, base + offset, _payload(index, hop, offset))
+        records.append((index, hop, invoker.index, env.now))
+        parent_node = node
+
+    tail = containers[-1]
+    base = _payload_base(tail)
+    misses = 0
+    for hop in range(CHAIN_HOPS):
+        for offset in range(CHAIN_PAGES):
+            got = yield from tail.kernel.touch(
+                tail.task, base + hop * CHAIN_PAGES + offset)
+            misses += got != _payload(index, hop, offset)
+    records.append((index, "read-back", env.now, misses))
+
+    for container in containers:
+        fn.invoker_for_machine(container.machine).destroy(container)
+    for node, hop_meta in prepared:
+        node.retire_descriptor(hop_meta)
+    return records
+
+
+def _run_chains(fn, profile):
+    """:data:`CHAINS` chains from :data:`CHAIN_CLIENTS` closed-loop
+    clients; returns every chain's records, in chain order."""
+    _, _, seed_meta = fn.policy.seeds[profile.name]
+    chains = [None] * CHAINS
+
+    def client(first):
+        for index in range(first, CHAINS, CHAIN_CLIENTS):
+            chains[index] = yield from _chain(fn, profile, seed_meta, index)
+
+    for first in range(CHAIN_CLIENTS):
+        fn.env.process(client(first))
+    fn.env.run()
+    return [record for chain in chains for record in chain]
+
+
+def fork_burst():
+    """48 TC0 forks due within 1 ms on 8 invokers."""
+    fn, profile = _cluster(8, 11)
+    return fn, _open_loop(fn, profile,
+                          [i * 20.0 * params.US for i in range(48)])
+
+
+def spike():
+    """Two bursts of 80 invocations, 200 ms apart, into 2 invokers."""
+    fn, profile = _cluster(2, 5)
+    burst = [i * 10.0 * params.US for i in range(80)]
+    return fn, _open_loop(fn, profile,
+                          burst + [200.0 * params.MS + t for t in burst])
+
+
+def chains():
+    """16 three-hop chains with payload read-back on 8 invokers."""
+    fn, profile = _cluster(8, 11)
+    return fn, _run_chains(fn, profile)
+
+
+RIGS = {"fork_burst": fork_burst, "spike": spike, "chains": chains}
+
+
+def golden_path(name):
+    """The committed golden file of rig ``name``."""
+    return os.path.join(GOLDEN_DIR, name + ".json")
+
+
+def measure(name):
+    """Run rig ``name`` and return the values its golden file pins."""
+    fn, records = RIGS[name]()
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode())
+        digest.update(b"\n")
+    return {"events_processed": fn.env.events_processed,
+            "now": fn.env.now,
+            "records": len(records),
+            "records_sha256": digest.hexdigest()}
+
+
+@pytest.fixture
+def default_path(monkeypatch):
+    """Unset every ``REPRO_*`` knob so the rigs run the default path."""
+    for var in list(os.environ):
+        if var.startswith("REPRO_"):
+            monkeypatch.delenv(var)
+
+
+@pytest.mark.parametrize("name", sorted(RIGS))
+def test_default_path_matches_golden(name, default_path):
+    with open(golden_path(name)) as handle:
+        golden = json.load(handle)
+    assert measure(name) == golden
+
+
+def test_chains_read_back_every_payload(default_path):
+    fn, records = chains()
+    read_backs = [r for r in records if r[1] == "read-back"]
+    assert len(read_backs) == CHAINS
+    assert all(r[3] == 0 for r in read_backs)
+    assert not fn.records  # chains bypass the load balancer

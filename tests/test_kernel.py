@@ -1,13 +1,17 @@
 """Unit tests for the kernel VM substrate."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro import params
 from repro.cluster import Cluster
+from repro.core.descriptor import PteSnapshot
 from repro.kernel import (
     Kernel,
     KernelError,
     NamespaceSet,
+    PageTable,
     SegmentationFault,
     VmaKind,
 )
@@ -297,6 +301,97 @@ class TestSwapAndReclaim:
         task.exit()
         assert cluster.machine(0).memory.used == 0
         assert task.pid not in k0.tasks
+
+
+def eager_copy(snapshots):
+    """The reference: the table fork_resume used to build, one remote PTE
+    per snapshot vpn, created in snapshot order."""
+    table = PageTable()
+    for vpn, snap in snapshots.items():
+        table.ensure(vpn).mark_remote(snap.remote_pfn,
+                                      owner_hop=snap.owner_hop)
+    return table
+
+
+def pte_fields(pte):
+    """Every PTE field, comparable across two tables (None for no PTE)."""
+    if pte is None:
+        return None
+    return (pte.present, pte.writable, pte.cow, pte.remote, pte.swap_slot,
+            pte.frame, pte.remote_pfn, pte.owner_index, pte.huge)
+
+
+SNAPSHOTS = st.dictionaries(
+    st.integers(0, 40),
+    st.builds(PteSnapshot, st.one_of(st.none(), st.integers(0, 10**6)),
+              st.integers(0, params.MAX_FORK_HOPS)),
+    max_size=30)
+OPS = st.lists(st.tuples(st.sampled_from(("entry", "ensure", "install",
+                                          "entries")),
+                         st.integers(0, 48)),
+               max_size=40)
+
+
+class TestSnapshotOverlay:
+    """A table overlaid on a descriptor snapshot must be indistinguishable
+    from the eager copy, except that it builds PTEs on first touch."""
+
+    @staticmethod
+    def apply(table, op, vpn):
+        if op == "entry":
+            return pte_fields(table.entry(vpn))
+        if op == "ensure":
+            return pte_fields(table.ensure(vpn))
+        if op == "install":  # what a serviced fault leaves behind
+            pte = table.ensure(vpn)
+            if not pte.present:
+                pte.map_frame("frame-%d" % vpn, writable=True)
+                pte.clear_remote()
+            return pte_fields(pte)
+        return [(v, pte_fields(p)) for v, p in table.entries()]
+
+    @staticmethod
+    def assert_same_view(overlay, eager):
+        assert len(overlay) == len(eager)
+        assert overlay.nbytes == eager.nbytes
+        assert ([vpn in overlay for vpn in range(50)]
+                == [vpn in eager for vpn in range(50)])
+        assert sorted(overlay.present_vpns()) == sorted(eager.present_vpns())
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(SNAPSHOTS, OPS)
+    def test_overlay_matches_eager_copy(self, snapshots, ops):
+        overlay = PageTable()
+        overlay.attach_snapshot(snapshots)
+        eager = eager_copy(snapshots)
+        for op, vpn in ops:
+            assert self.apply(overlay, op, vpn) == self.apply(eager, op, vpn)
+            self.assert_same_view(overlay, eager)
+        assert overlay.remote_vpns() == eager.remote_vpns()
+        assert ([(v, pte_fields(p)) for v, p in overlay.entries()]
+                == [(v, pte_fields(p)) for v, p in eager.entries()])
+        self.assert_same_view(overlay, eager)
+
+    def test_untouched_entries_are_not_materialized(self):
+        overlay = PageTable()
+        overlay.attach_snapshot({7: PteSnapshot(70), 9: PteSnapshot(90)})
+        assert len(overlay) == 2 and 9 in overlay
+        assert list(overlay.materialized()) == []
+        assert overlay.present_vpns() == []
+        pte = overlay.entry(9)
+        assert pte.remote and pte.remote_pfn == 90
+        assert [vpn for vpn, _ in overlay.materialized()] == [9]
+
+    def test_owner_hop_beyond_pte_bits_raises_on_first_touch(self):
+        overlay = PageTable()
+        overlay.attach_snapshot(
+            {5: PteSnapshot(1, owner_hop=params.MAX_FORK_HOPS + 1)})
+        assert 5 in overlay
+        with pytest.raises(KernelError):
+            overlay.entry(5)
+        with pytest.raises(KernelError):
+            overlay.entries()
 
 
 class TestNamespaces:

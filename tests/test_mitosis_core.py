@@ -6,8 +6,10 @@ from repro import params
 from repro.cluster import Cluster
 from repro.containers import ContainerRuntime, hello_world_image
 from repro.core import ForkDepthExceeded, MitosisDeployment
-from repro.kernel import Kernel, KernelError
+from repro.core.descriptor import PteSnapshot
+from repro.kernel import Kernel, KernelError, PageTable
 from repro.rdma import RdmaFabric, RpcError, RpcRuntime
+from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
 
 
@@ -249,6 +251,28 @@ class TestForkResume:
         node1 = deployment.node(cluster.machine(1))
         assert node1.pager.counters["rdma_reads"] == 0
 
+    def test_untouched_child_teardown_materializes_nothing(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        kernels = [runtime.kernel for runtime in runtimes]
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            return (yield from node1.fork_resume(meta))
+
+        child = run(env, body())
+        table = child.task.address_space.page_table
+        pages = len(table)
+        assert pages > 0
+        assert audit_frame_refcounts(kernels) == []
+        assert list(table.materialized()) == []  # the audit only reads
+        runtimes[1].destroy(child)
+        assert list(table.materialized()) == []
+        assert len(table) == pages
+        assert audit_frame_refcounts(kernels) == []
+
     def test_local_resume_also_works(self, rig):
         env, cluster, runtimes, deployment = rig
         parent = start_parent(env, runtimes[0])
@@ -405,6 +429,35 @@ class TestPageSharing:
         assert c2 == "mine"
         assert c1 != "mine"
 
+    def test_cache_drops_dead_frames_of_retired_descriptors(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+        pages = 8
+
+        def body():
+            sizes = []
+            for _ in range(24):
+                meta = yield from node0.fork_prepare(parent)
+                child = yield from node1.fork_resume(meta)
+                for offset in range(pages):
+                    yield from kernel1.touch(child.task,
+                                             heap.start_vpn + offset)
+                runtimes[1].destroy(child)
+                node0.retire_descriptor(meta)
+                sizes.append(len(node1.pager.cache))
+            return sizes
+
+        sizes = run(env, body())
+        # Each round's frames die with its child and its descriptor is
+        # never looked up again: the cache is bounded by the live frames
+        # of one round, not by the number of rounds.
+        assert max(sizes) <= 2 * pages
+        assert node1.pager.counters["rdma_reads"] == 24 * pages
+
     def test_sharing_disabled_reads_remote_every_time(self):
         env, cluster, runtimes, deployment = build_rig(enable_sharing=False)
         parent = start_parent(env, runtimes[0])
@@ -478,6 +531,68 @@ class TestMultiHop:
         touched_owner, untouched_owner = run(env, body())
         assert touched_owner == 0     # immediate parent (machine 1)
         assert untouched_owner == 1   # grandparent (machine 0)
+
+    @staticmethod
+    def _grandchild_snapshot(eager):
+        """fork_prepare from a resumed, partly touched child -> its
+        descriptor's (vpn, remote_pfn, owner_hop) list.  ``eager`` swaps
+        the child's overlay for the table fork_resume used to build."""
+        env, cluster, runtimes, deployment = build_rig()
+        parent = start_parent(env, runtimes[0])
+        k1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+
+        def body():
+            meta0 = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta0)
+            if eager:
+                descriptor, _ = node0.service.lookup(meta0.handler_id,
+                                                     meta0.auth_key)
+                table = PageTable()
+                for vpn, snap in descriptor.pte_snapshots.items():
+                    table.ensure(vpn).mark_remote(
+                        snap.remote_pfn, owner_hop=snap.owner_hop)
+                child.task.address_space.page_table = table
+            yield from k1.touch(child.task, heap.start_vpn + 2)
+            yield from k1.write_page(child.task, heap.start_vpn, "w")
+            stack = child.task.address_space.vmas[-1]
+            child.task.address_space.grow(stack, 2)
+            yield from k1.touch(child.task, stack.end_vpn - 1, write=True)
+            meta1 = yield from node1.fork_prepare(child)
+            descriptor, _ = node1.service.lookup(meta1.handler_id,
+                                                 meta1.auth_key)
+            return [(vpn, snap.remote_pfn, snap.owner_hop)
+                    for vpn, snap in descriptor.pte_snapshots.items()]
+
+        return run(env, body())
+
+    def test_prepare_from_resumed_child_matches_eager_rebuild(self):
+        overlay = self._grandchild_snapshot(eager=False)
+        assert overlay == self._grandchild_snapshot(eager=True)
+        assert {hop for _, _, hop in overlay} == {0, 1}
+
+    def test_owner_hop_beyond_pte_bits_rejected_by_first_touch(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        k1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            descriptor, _ = node0.service.lookup(meta.handler_id,
+                                                 meta.auth_key)
+            descriptor.pte_snapshots[heap.start_vpn] = PteSnapshot(
+                0, owner_hop=params.MAX_FORK_HOPS + 1)
+            with pytest.raises(KernelError):
+                child = yield from node1.fork_resume(meta)
+                yield from k1.touch(child.task, heap.start_vpn)
+            return True
+
+        assert run(env, body())
 
     def test_depth_limit_enforced(self, rig):
         env, cluster, runtimes, deployment = rig
