@@ -8,7 +8,7 @@ class OutOfMemoryError(Exception):
     """Raised when a machine's DRAM account would go over capacity."""
 
 
-class MemoryAccount:  # reprolint: owner=machine
+class MemoryAccount:
     """Byte-accurate DRAM accounting for one machine.
 
     Tracks current usage and the high-water mark; experiment harnesses
@@ -49,7 +49,7 @@ class MemoryAccount:  # reprolint: owner=machine
         return self.capacity - self.used
 
 
-class Machine:  # reprolint: owner=machine
+class Machine:
     """One cluster node: cores, DRAM, and (attached later) NIC and kernel.
 
     ``cores`` is a counted resource processes acquire to model CPU

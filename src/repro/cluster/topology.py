@@ -9,7 +9,7 @@ from .. import params
 from .machine import Machine
 
 
-class Cluster:  # reprolint: owner=cluster
+class Cluster:
     """A set of machines with a rack-aware latency model."""
 
     def __init__(self, env, num_machines=params.NUM_MACHINES,

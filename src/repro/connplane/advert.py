@@ -26,7 +26,7 @@ charge imbalance.
 """
 
 
-class AdvertEntry:  # reprolint: owner=machine
+class AdvertEntry:
     """One cached advertisement."""
 
     __slots__ = ("name", "meta", "descriptor", "parent_machine", "nbytes")
@@ -44,7 +44,7 @@ class AdvertEntry:  # reprolint: owner=machine
         return self.meta.generation
 
 
-class AdvertCache:  # reprolint: owner=machine
+class AdvertCache:
     """The advert table on one invoker machine."""
 
     def __init__(self, machine, counters):

@@ -30,18 +30,15 @@ from .advert import AdvertCache, AdvertEntry
 from .pool import QpPool
 
 
-class ConnPlane:  # reprolint: owner=cluster
+class ConnPlane:
     """Swift-style connection control plane over one MITOSIS deployment."""
 
     def __init__(self, env, deployment, rpc,
                  pool_bytes=params.CONNPLANE_POOL_BYTES):
         self.env = env
         self.deployment = deployment
-        # Concurrent _push processes share these read-mostly handles; the
-        # counter bumps commute, so the _eid tie-break cannot change any
-        # observable outcome — a known coupling, suppressed narrowly.
-        self.rpc = rpc  # reprolint: disable=tie-order-hazard
-        self.counters = CounterSet()  # reprolint: disable=tie-order-hazard
+        self.rpc = rpc
+        self.counters = CounterSet()
         #: machine_id -> QpPool / AdvertCache.
         self.pools = {}
         self.caches = {}

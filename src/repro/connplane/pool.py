@@ -31,7 +31,7 @@ from ..rdma import ConnectionError_
 from ..sim import Event
 
 
-class QpLease:  # reprolint: owner=machine
+class QpLease:
     """A refcounted claim on one pooled QP; release returns it warm.
 
     Co-located children forking from the same parent share one QP, each
@@ -59,7 +59,7 @@ class QpLease:  # reprolint: owner=machine
         self.pool._release(self.entry)
 
 
-class _PoolEntry:  # reprolint: owner=machine
+class _PoolEntry:
     __slots__ = ("qp", "peer_id", "refs", "pooled")
 
     def __init__(self, qp, peer_id):
@@ -71,7 +71,7 @@ class _PoolEntry:  # reprolint: owner=machine
         self.pooled = True
 
 
-class QpPool:  # reprolint: owner=machine
+class QpPool:
     """The warm RC QP cache on one machine."""
 
     def __init__(self, env, machine, counters,

@@ -13,7 +13,7 @@ class ContainerState:
     DEAD = "dead"
 
 
-class Container:  # reprolint: owner=machine
+class Container:
     """A running (or paused) instance of a container image."""
 
     _ids = count(1)
@@ -53,7 +53,7 @@ class Container:  # reprolint: owner=machine
             self.machine.machine_id)
 
 
-class ContainerAccountant:  # reprolint: owner=machine
+class ContainerAccountant:
     """Tracks live containers per machine for the memory figures."""
 
     def __init__(self):

@@ -10,7 +10,7 @@ from .. import params
 from ..kernel import VmaKind
 
 
-class MemoryLayout:  # reprolint: owner=message
+class MemoryLayout:
     """Page counts per region of a warmed container."""
 
     def __init__(self, code_pages, lib_pages, data_pages, heap_pages,
@@ -48,7 +48,7 @@ class MemoryLayout:  # reprolint: owner=message
         ]
 
 
-class ContainerImage:  # reprolint: owner=message
+class ContainerImage:
     """A registered function's container image."""
 
     def __init__(self, name, layout, image_file_bytes, cold_start_latency,

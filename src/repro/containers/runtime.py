@@ -17,7 +17,7 @@ from ..sim import Resource
 from .container import Container, ContainerState
 
 
-class ContainerRuntime:  # reprolint: owner=machine
+class ContainerRuntime:
     """Per-machine runtime daemon."""
 
     def __init__(self, env, kernel):

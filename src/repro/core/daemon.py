@@ -14,7 +14,7 @@ from ..rdma import RpcError
 from ..rdma.qp import DcQp
 
 
-class NetworkDaemon:  # reprolint: owner=machine
+class NetworkDaemon:
     """Caches DCQPs and hands them out round-robin to faulting processes."""
 
     def __init__(self, env, nic, num_dcqps=8):
@@ -35,7 +35,7 @@ class NetworkDaemon:  # reprolint: owner=machine
         return len(self._dcqps)
 
 
-class DescriptorService:  # reprolint: owner=machine
+class DescriptorService:
     """Parent-side registry of descriptors + shadow containers, with the
     RPC handlers children call during fork_resume and fallback."""
 

@@ -13,7 +13,7 @@ from itertools import count
 from .. import params
 
 
-class ForkMeta:  # reprolint: owner=message
+class ForkMeta:
     """The few-bytes handle a platform passes around to fork a container.
 
     (parent RDMA address, handler id, authentication key) — §4.1.  When
@@ -52,7 +52,7 @@ class ForkMeta:  # reprolint: owner=message
         return hash((self.machine_id, self.handler_id, self.auth_key))
 
 
-class VmaDescriptor:  # reprolint: owner=message
+class VmaDescriptor:
     """One VMA's serialized form, including its DC-target credentials.
 
     The (target id, DCT key) pair is the *connection-based* access grant
@@ -77,7 +77,7 @@ class VmaDescriptor:  # reprolint: owner=message
         return self.start_vpn <= vpn < self.start_vpn + self.num_pages
 
 
-class PteSnapshot:  # reprolint: owner=message
+class PteSnapshot:
     """One page-table entry in the descriptor.
 
     ``owner_hop`` says where the frame lives: 0 = on the descriptor's own
@@ -93,7 +93,7 @@ class PteSnapshot:  # reprolint: owner=message
         self.owner_hop = owner_hop
 
 
-class ContainerDescriptor:  # reprolint: owner=message
+class ContainerDescriptor:
     """The full condensed descriptor stored at the parent machine."""
 
     _ids = count(1)

@@ -29,7 +29,7 @@ class ForkDepthExceeded(KernelError):
     """A fork would need an owner index beyond the 4 PTE bits (§4.4)."""
 
 
-class Mitosis:  # reprolint: owner=machine
+class Mitosis:
     """MITOSIS installed on one machine."""
 
     def __init__(self, env, deployment, runtime, enable_sharing=True,
@@ -344,18 +344,15 @@ class Mitosis:  # reprolint: owner=machine
                 # one through refcounted leases, and misses batch-create.
                 task._mitosis_rcqps = {}
                 if self.connplane is not None:
-                    # Same co-located fork-path coupling as _mitosis_rcqps
-                    # (already baselined): the node builds the child task's
-                    # connection state on its own machine.
-                    task._connplane_leases = []  # reprolint: disable=cross-shard-mutation
+                    task._connplane_leases = []
                 for elder_machine, _ in task.predecessors:
                     if elder_machine.machine_id == self.machine.machine_id:
                         continue
                     if self.connplane is not None:
                         lease = yield from self.connplane.pool(
                             self.machine).acquire(elder_machine)
-                        task._connplane_leases.append(lease)  # reprolint: disable=cross-shard-mutation
-                        task._mitosis_rcqps[elder_machine.machine_id] = lease.qp  # reprolint: disable=cross-shard-mutation
+                        task._connplane_leases.append(lease)
+                        task._mitosis_rcqps[elder_machine.machine_id] = lease.qp
                     else:
                         qp = yield from self.nic.create_rc_qp(elder_machine)
                         task._mitosis_rcqps[elder_machine.machine_id] = qp
@@ -521,7 +518,7 @@ class Mitosis:  # reprolint: owner=machine
         return True
 
 
-class MitosisDeployment:  # reprolint: owner=cluster
+class MitosisDeployment:
     """MITOSIS deployed on every RDMA machine of a cluster (Fig. 4)."""
 
     def __init__(self, env, cluster, fabric, rpc, runtimes,

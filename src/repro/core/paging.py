@@ -47,7 +47,7 @@ def default_batch_pages():
     return max(0, int(value))
 
 
-class PagerResilience:  # reprolint: owner=machine
+class PagerResilience:
     """Per-pager gray-failure defenses: fallback breakers + read hedging."""
 
     def __init__(self, breakers=True, hedging=True):
@@ -68,7 +68,7 @@ class PagerResilience:  # reprolint: owner=machine
         return breaker
 
 
-class SharedPageCache:  # reprolint: owner=machine
+class SharedPageCache:
     """Per-machine cache of fetched remote pages, keyed by (descriptor, vpn).
 
     A dead frame reads as a miss, but its entry would stay until that
@@ -122,7 +122,7 @@ class SharedPageCache:  # reprolint: owner=machine
         return len(self._frames)
 
 
-class RemotePager:  # reprolint: owner=machine
+class RemotePager:
     """Installed as ``kernel.remote_pager`` on every MITOSIS machine."""
 
     def __init__(self, env, machine, net_daemon, rpc, deployment,

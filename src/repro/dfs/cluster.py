@@ -10,7 +10,7 @@ class DfsError(Exception):
     """Missing objects, bad ranges, or placement failures."""
 
 
-class Osd:  # reprolint: owner=machine
+class Osd:
     """One object-storage daemon: a serialized service loop + DRAM pool."""
 
     def __init__(self, env, machine):
@@ -48,7 +48,7 @@ class _StoredObject:
         self.osd = osd
 
 
-class CephLikeDfs:  # reprolint: owner=cluster
+class CephLikeDfs:
     """The DFS cluster: deterministic placement over a set of OSD machines."""
 
     def __init__(self, env, fabric, osd_machines):

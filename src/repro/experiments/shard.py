@@ -7,9 +7,8 @@ smoke, 4 at bench scale), then:
 * diffs per-invocation outcome tuples — they must match *exactly*
   (the determinism contract of :mod:`repro.shard.fork_rig`), with the
   residual timing skew measured and bounded rather than assumed zero;
-* audits the conservative-sync contract with
-  :func:`repro.sanitizers.audit_shard` (replica digests, ownership
-  partition, eid namespaces, lookahead);
+* audits the merged result with :func:`repro.sanitizers.audit_shard`
+  (replica digests, pick counts, ownership, record partition);
 * reports aggregate events/s and the CPU-time shard speedup —
   ``(events / max worker cpu) / (events / cpu)`` single-core — the
   runner-independent form of the >=2x acceptance gate (wall-clock only

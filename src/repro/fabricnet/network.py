@@ -15,7 +15,7 @@ from ..rdma.errors import ConnectionError_
 from .topology import ClosFabricTopology
 
 
-class FabricFlow:  # reprolint: owner=cluster
+class FabricFlow:
     """DCQCN rate state for one (src machine, dst machine) flow."""
 
     def __init__(self, key, line_rate):
@@ -111,7 +111,7 @@ class FabricFlow:  # reprolint: owner=cluster
         return wait
 
 
-class FabricNetwork:  # reprolint: owner=cluster
+class FabricNetwork:
     """Front-end the RDMA layer charges transfers against when armed.
 
     ``mode`` selects the story the incast rig contrasts: ``"flat"``

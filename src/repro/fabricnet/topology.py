@@ -11,7 +11,7 @@ delivered + dropped) feed the ``audit_fabric`` sanitizer.
 from .. import params
 
 
-class FabricLink:  # reprolint: owner=cluster
+class FabricLink:
     """One unidirectional fabric link (host<->ToR or ToR<->spine)."""
 
     def __init__(self, name, capacity,
@@ -128,7 +128,7 @@ class FabricLink:  # reprolint: owner=cluster
                 % (self.name, self.capacity, self.peak_backlog))
 
 
-class ClosFabricTopology:  # reprolint: owner=cluster
+class ClosFabricTopology:
     """Two-tier Clos: per-host access links, oversubscribed ToR uplinks.
 
     Every machine gets an up link (host -> ToR) and a down link

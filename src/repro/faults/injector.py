@@ -33,7 +33,7 @@ from .schedule import (
 )
 
 
-class FaultInjector:  # reprolint: owner=cluster
+class FaultInjector:
     """Cluster-wide failure state + the schedule driver."""
 
     def __init__(self, env, cluster, streams=None):

@@ -9,7 +9,7 @@ event carries a finite ``down_for`` has *eventual recovery*: after
 """
 
 
-class FaultEvent:  # reprolint: owner=message
+class FaultEvent:
     """Base class: one scheduled fault, ``at`` microseconds after arming."""
 
     def __init__(self, at):
@@ -266,7 +266,7 @@ class NicSaturation(FaultEvent):
             self.down_for)
 
 
-class FaultSchedule:  # reprolint: owner=cluster
+class FaultSchedule:
     """An immutable, validated collection of fault events."""
 
     def __init__(self, events):

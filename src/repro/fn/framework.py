@@ -30,7 +30,7 @@ from .health import HealthMonitor
 from .invoker import Invoker
 
 
-class ResilienceConfig:  # reprolint: owner=message
+class ResilienceConfig:
     """Knobs for the gray-failure layer (see :meth:`FnCluster.enable_resilience`)."""
 
     def __init__(self, deadline, retry_budget):
@@ -40,7 +40,7 @@ class ResilienceConfig:  # reprolint: owner=message
         self.retry_budget = retry_budget
 
 
-class FnCluster:  # reprolint: owner=cluster
+class FnCluster:
     """A complete serverless deployment under one start policy."""
 
     def __init__(self, policy, num_invokers=params.NUM_INVOKERS,
@@ -219,10 +219,8 @@ class FnCluster:  # reprolint: owner=cluster
                     # advanced LB state; the load increment below keeps
                     # later same-burst picks identical across replicas)
                     # and stop — the owning shard runs it for real and
-                    # contributes the record at merge time.  The same
-                    # claimed boundary cell as the real increment below,
-                    # replayed identically by every replica.
-                    invoker.outstanding += 1  # reprolint: disable=cross-shard-mutation
+                    # contributes the record at merge time.
+                    invoker.outstanding += 1
                     return None
                 if self.faults is not None and not invoker.alive:
                     # Dead but not yet detected by the health monitor: the

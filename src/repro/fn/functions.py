@@ -19,7 +19,7 @@ class FnFunction:
         return "<FnFunction %s>" % self.name
 
 
-class InvocationRecord:  # reprolint: owner=message
+class InvocationRecord:
     """The outcome of one function invocation."""
 
     _ids = count(1)

@@ -25,7 +25,7 @@ from ..rdma.rpc import RpcTimeout
 from ..sim import Interrupt
 
 
-class HealthMonitor:  # reprolint: owner=cluster
+class HealthMonitor:
     """One watch process per invoker, pinging from the LB machine."""
 
     def __init__(self, fn_cluster, period=params.FN_HEARTBEAT_PERIOD,

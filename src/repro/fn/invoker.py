@@ -7,7 +7,7 @@ from ..criu import TmpfsStore
 from ..sim import Gate, Resource
 
 
-class Invoker:  # reprolint: owner=machine
+class Invoker:
     """One Fn invoker machine."""
 
     def __init__(self, env, runtime, index,

@@ -28,7 +28,7 @@ from ..sim import Store
 _START_FAULTS = (FaultError, RpcError, RpcTimeout, ConnectionError_)
 
 
-class StartPolicy:  # reprolint: owner=cluster
+class StartPolicy:
     """Interface; concrete policies override the generator hooks."""
 
     name = "abstract"

@@ -10,7 +10,7 @@ from itertools import count
 from .. import params
 
 
-class Cgroup:  # reprolint: owner=machine
+class Cgroup:
     """One cgroup: resource limits for a container."""
 
     _ids = count(1)
@@ -36,7 +36,7 @@ class Cgroup:  # reprolint: owner=machine
             self.cgroup_id, "busy" if self.in_use else "free")
 
 
-class CgroupPool:  # reprolint: owner=machine
+class CgroupPool:
     """Pool of ready cgroups; refills asynchronously after each take."""
 
     def __init__(self, env, size=params.CGROUP_POOL_SIZE):
@@ -77,7 +77,7 @@ class CgroupPool:  # reprolint: owner=machine
         return len(self._free)
 
 
-class NamespaceSet:  # reprolint: owner=machine
+class NamespaceSet:
     """The namespace flags a container runs under."""
 
     FLAGS = ("pid", "net", "mnt", "uts", "ipc", "user")

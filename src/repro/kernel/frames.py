@@ -11,7 +11,7 @@ from .. import params
 from .errors import KernelError
 
 
-class Frame:  # reprolint: owner=machine
+class Frame:
     """One 4 KB physical page frame."""
 
     __slots__ = ("pfn", "machine_id", "refcount", "content", "live")
@@ -29,7 +29,7 @@ class Frame:  # reprolint: owner=machine
             "live" if self.live else "freed")
 
 
-class FrameAllocator:  # reprolint: owner=machine
+class FrameAllocator:
     """Allocates frames against the machine's DRAM account."""
 
     def __init__(self, env, machine):

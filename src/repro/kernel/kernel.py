@@ -25,7 +25,7 @@ FORK_LOCAL_BASE = 0.6 * params.MS
 FORK_LOCAL_PER_PTE = 0.002 * params.US
 
 
-class SwapStore:  # reprolint: owner=machine
+class SwapStore:
     """In-memory swap: reclaimed page contents, addressed by slot."""
 
     def __init__(self):
@@ -55,7 +55,7 @@ class SwapStore:  # reprolint: owner=machine
         return len(self._slots)
 
 
-class Kernel:  # reprolint: owner=machine
+class Kernel:
     """One machine's OS kernel."""
 
     def __init__(self, env, machine):

@@ -20,7 +20,7 @@ KSM_MERGE_LATENCY = 1.0 * params.US
 MIGRATE_PAGE_LATENCY = 1.5 * params.US
 
 
-class KsmDaemon:  # reprolint: owner=machine
+class KsmDaemon:
     """Kernel samepage merging: dedupe identical frames across tasks.
 
     Duplicate frames are merged onto one canonical frame, with every
@@ -80,7 +80,7 @@ THP_SPAN = 512
 THP_COLLAPSE_LATENCY = 60.0 * params.US
 
 
-class ThpDaemon:  # reprolint: owner=machine
+class ThpDaemon:
     """Transparent huge pages: collapse aligned runs into huge mappings.
 
     Collapsing physically *moves* the 4 KB frames into one contiguous
@@ -133,7 +133,7 @@ class ThpDaemon:  # reprolint: owner=machine
         return collapsed
 
 
-class PageMigrator:  # reprolint: owner=machine
+class PageMigrator:
     """Page migration: move a frame to a new physical location.
 
     Models NUMA balancing / compaction: content is preserved but the

@@ -13,7 +13,7 @@ from .. import params
 from .errors import KernelError
 
 
-class Pte:  # reprolint: owner=machine
+class Pte:
     """One page-table entry."""
 
     __slots__ = ("present", "writable", "cow", "remote", "swap_slot",
@@ -147,7 +147,7 @@ def _remote_pte(snap):
     return pte
 
 
-class PageTable:  # reprolint: owner=machine
+class PageTable:
     """Sparse vpn -> PTE map for one address space.
 
     A resumed child's table sits over its descriptor's PTE snapshot map

@@ -6,7 +6,7 @@ from .cgroups import Cgroup, NamespaceSet
 from .vma import AddressSpace
 
 
-class Registers:  # reprolint: owner=machine
+class Registers:
     """CPU register file — tiny, copied wholesale on fork/descriptor."""
 
     __slots__ = ("pc", "sp", "gprs")
@@ -25,7 +25,7 @@ class Registers:  # reprolint: owner=machine
                 and other.sp == self.sp and other.gprs == self.gprs)
 
 
-class FileDescriptor:  # reprolint: owner=machine
+class FileDescriptor:
     """One open descriptor: regular file or network socket.
 
     Serverless functions are mostly stateless; sockets to external storage
@@ -48,7 +48,7 @@ class FileDescriptor:  # reprolint: owner=machine
         return "<fd %d %s %s>" % (self.fd, self.kind, self.path)
 
 
-class Task:  # reprolint: owner=machine
+class Task:
     """A process (the unit a container wraps)."""
 
     _pids = count(100)
@@ -70,9 +70,8 @@ class Task:  # reprolint: owner=machine
         #: is "self/local"; PTE owner bits index this list.
         self.predecessors = []
         #: Pooled-QP leases the connection plane attached at fork time
-        #: (None without REPRO_CONNPLANE); released by invoker.untrack —
-        #: a known fork-path/teardown coupling, like _mitosis_rcqps.
-        self._connplane_leases = None  # reprolint: disable=tie-order-hazard
+        #: (None without REPRO_CONNPLANE); released by invoker.untrack.
+        self._connplane_leases = None
 
     def open_fd(self, kind, path=None):
         """Open a new file/socket descriptor; returns it."""

@@ -23,7 +23,7 @@ class VmaKind(Enum):
     ANON = "anon"
 
 
-class Vma:  # reprolint: owner=machine
+class Vma:
     """One contiguous virtual region: [start_vpn, end_vpn)."""
 
     def __init__(self, start_vpn, num_pages, kind, writable=True, pager=None):
@@ -67,7 +67,7 @@ class Vma:  # reprolint: owner=machine
         return "<Vma %s [%d, %d)>" % (self.kind.value, self.start_vpn, self.end_vpn)
 
 
-class AddressSpace:  # reprolint: owner=machine
+class AddressSpace:
     """VMAs + page table for one task (mm_struct)."""
 
     def __init__(self):

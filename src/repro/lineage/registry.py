@@ -25,7 +25,7 @@ no randomness, no wall clock (timestamps come in as arguments).
 from .wal import WriteAheadLog
 
 
-class LineageRegistry:  # reprolint: owner=cluster
+class LineageRegistry:
     """Journaled authority over one cluster's seed lineages.
 
     Pure state machine: every mutator journals first, then applies via

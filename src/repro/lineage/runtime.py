@@ -42,7 +42,7 @@ from .registry import LineageRegistry
 _RECOVERABLE = (FaultError, RpcError, RpcTimeout, ConnectionError_)
 
 
-class _Member:  # reprolint: owner=cluster
+class _Member:
     """One live host of a lineage: the primary or a replica."""
 
     __slots__ = ("invoker", "container", "meta", "descriptor", "node")
@@ -58,7 +58,7 @@ class _Member:  # reprolint: owner=cluster
         self.node = node
 
 
-class LineageRuntime:  # reprolint: owner=cluster
+class LineageRuntime:
     """Replication, promotion, fencing, and orphan rescue for seed
     lineages (see the module docstring for the full protocol)."""
 

@@ -10,7 +10,7 @@ registry byte-for-byte.
 """
 
 
-class WalRecord:  # reprolint: owner=message
+class WalRecord:
     """One journaled registry mutation."""
 
     __slots__ = ("seq", "at", "op", "payload")
@@ -31,7 +31,7 @@ class WalRecord:  # reprolint: owner=message
                                                  self.payload)
 
 
-class WriteAheadLog:  # reprolint: owner=cluster
+class WriteAheadLog:
     """Append-only record store with monotonically increasing sequence
     numbers.  Records are immutable once appended; truncation/compaction
     is deliberately not offered — the audit needs full history."""

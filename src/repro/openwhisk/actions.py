@@ -23,7 +23,7 @@ STEMCELL_START_LATENCY = 120.0 * params.MS
 WARM_KEEPALIVE = 60.0 * params.SEC
 
 
-class Action:  # reprolint: owner=message
+class Action:
     """One registered OpenWhisk action."""
 
     def __init__(self, profile, init_latency=DEFAULT_INIT_LATENCY):
@@ -36,7 +36,7 @@ class Action:  # reprolint: owner=message
         return "<Action %s>" % self.name
 
 
-class Activation:  # reprolint: owner=message
+class Activation:
     """One activation record (OpenWhisk's invocation unit)."""
 
     _ids = count(1)

@@ -24,7 +24,7 @@ from .actions import (
 from .invoker import OwInvoker
 
 
-class OpenWhiskCluster:  # reprolint: owner=cluster
+class OpenWhiskCluster:
     """An OpenWhisk-style deployment, optionally MITOSIS-accelerated."""
 
     def __init__(self, mode="vanilla", num_invokers=3, num_machines=6,

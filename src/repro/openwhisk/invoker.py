@@ -7,7 +7,7 @@ from ..sim import Store
 from .actions import STEMCELL_START_LATENCY, WARM_KEEPALIVE
 
 
-class StemCellPool:  # reprolint: owner=machine
+class StemCellPool:
     """Prewarmed *generic* runtime containers (OpenWhisk's "prewarm").
 
     Unlike Fn's per-function cache, a stem cell fits any action of its
@@ -57,7 +57,7 @@ class StemCellPool:  # reprolint: owner=machine
         return len(self._free)
 
 
-class OwInvoker:  # reprolint: owner=machine
+class OwInvoker:
     """One OpenWhisk invoker: activation queue + bounded worker loop."""
 
     def __init__(self, env, runtime, index, generic_image,

@@ -57,12 +57,6 @@ DCT_KEY_BYTES = 12
 RCQP_FOOTPRINT_BYTES = 8 * KB
 #: UD (FaSST-style) RPC round trip, connection-less (§4.1).
 UD_RPC_BASE_LATENCY = 3.0 * US
-#: Conservative-sync lookahead for the sharded simulation core
-#: (``repro.shard``): no cross-machine interaction lands sooner than the
-#: cheapest RDMA verb, so a shard may safely advance this far past the
-#: fleet-wide horizon without hearing from its peers.  Derived, never
-#: tuned — the bound must hold for every message the fabric can carry.
-SHARD_LOOKAHEAD = min(RDMA_READ_LATENCY, UD_RPC_BASE_LATENCY)
 #: Per-datagram CPU cost when a UD payload spans multiple 4 KB MTUs —
 #: why shipping KB-scale descriptors inside RPC replies loses to a single
 #: one-sided READ (§4.1's zero-copy argument).

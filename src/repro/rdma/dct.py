@@ -12,7 +12,7 @@ from itertools import count
 from .. import params
 
 
-class DctKey:  # reprolint: owner=message
+class DctKey:
     """The 12-byte key a child must present to use a DC target.
 
     The paper treats the NIC-generated 4B number and the user-passed 8B key
@@ -42,7 +42,7 @@ class DctKey:  # reprolint: owner=message
         return params.DCT_KEY_BYTES
 
 
-class DcTarget:  # reprolint: owner=machine
+class DcTarget:
     """A DC target living on one machine's RNIC.
 
     ``active`` drops to False on destroy; the RNIC thereafter NAKs any
@@ -86,7 +86,7 @@ class DcTarget:  # reprolint: owner=machine
             "active" if self.active else "destroyed")
 
 
-class DcTargetPool:  # reprolint: owner=machine
+class DcTargetPool:
     """Pre-created DC targets amortizing the 200 us creation cost (§4.3).
 
     ``take`` returns a pooled target instantly when available and triggers

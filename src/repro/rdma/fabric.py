@@ -10,7 +10,7 @@ from .. import params
 from .nic import Rnic
 
 
-class RdmaFabric:  # reprolint: owner=cluster
+class RdmaFabric:
     """Attaches RNICs to machines and provides the transfer primitives."""
 
     def __init__(self, env, cluster, rdma_machines=None):

@@ -12,7 +12,7 @@ from .. import params
 from .errors import RegistrationError
 
 
-class MemoryRegion:  # reprolint: owner=machine
+class MemoryRegion:
     """A registered virtual-address range with an rkey."""
 
     _rkeys = count(1)
@@ -36,7 +36,7 @@ class MemoryRegion:  # reprolint: owner=machine
             "valid" if self.valid else "revoked")
 
 
-class MrTable:  # reprolint: owner=machine
+class MrTable:
     """Per-NIC table of registered regions."""
 
     def __init__(self, env, machine):

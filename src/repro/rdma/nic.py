@@ -13,7 +13,7 @@ from .mr import MrTable
 from .qp import DcQp, RcQp, UdQp
 
 
-class Rnic:  # reprolint: owner=machine
+class Rnic:
     """One machine's RDMA NIC."""
 
     def __init__(self, env, machine, fabric):

@@ -10,7 +10,7 @@ from .. import params
 from .errors import ConnectionError_, RemoteAccessError
 
 
-class _QpBase:  # reprolint: owner=machine
+class _QpBase:
     def __init__(self, nic):
         self.nic = nic
         self.env = nic.env
@@ -65,7 +65,7 @@ class _QpBase:  # reprolint: owner=machine
             yield self.env.timeout(params.LOSSY_RETX_PENALTY)
 
 
-class RcQp(_QpBase):  # reprolint: owner=machine
+class RcQp(_QpBase):
     """Reliable-connected QP: bound to one peer, several-KB footprint."""
 
     def __init__(self, nic, peer_machine):
@@ -233,7 +233,7 @@ class RcQp(_QpBase):  # reprolint: owner=machine
                 span.end()
 
 
-class DcQp(_QpBase):  # reprolint: owner=machine
+class DcQp(_QpBase):
     """Dynamic-connected QP: one QP reaches any DC target on any machine.
 
     Re-targeting costs <1 us (§4.2); each request carries the 12 B DCT key
@@ -364,7 +364,7 @@ class DcQp(_QpBase):  # reprolint: owner=machine
                 span.end()
 
 
-class UdQp(_QpBase):  # reprolint: owner=machine
+class UdQp(_QpBase):
     """Unreliable-datagram QP: connection-less two-sided messaging.
 
     The transport under FaSST-style RPC (§4.1): no handshake, small

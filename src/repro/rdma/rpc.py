@@ -32,7 +32,7 @@ class RpcTimeout(RdmaError):
 _LOST = object()
 
 
-class RpcEndpoint:  # reprolint: owner=machine
+class RpcEndpoint:
     """One machine's RPC service: handler table + worker pool."""
 
     def __init__(self, env, nic, workers=params.MITOSIS_DAEMON_THREADS):
@@ -64,7 +64,7 @@ class RpcEndpoint:  # reprolint: owner=machine
                            % (method, self.machine.machine_id))
 
 
-class RpcRuntime:  # reprolint: owner=cluster
+class RpcRuntime:
     """Cluster-wide registry of RPC endpoints and the call primitive."""
 
     def __init__(self, env, fabric, streams=None):

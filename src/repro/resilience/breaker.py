@@ -15,7 +15,7 @@ breakers add zero events to the simulation and replay deterministically.
 from .. import params
 
 
-class CircuitBreaker:  # reprolint: owner=machine
+class CircuitBreaker:
     """Closed -> open -> half-open state machine, sim-time cooldowns."""
 
     def __init__(self, name, failure_threshold=None, cooldown=None):

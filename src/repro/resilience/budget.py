@@ -11,7 +11,7 @@ ledger entries <= granted) after a run.
 """
 
 
-class RetryBudget:  # reprolint: owner=message
+class RetryBudget:
     """A fixed allowance of retries shared across one invocation."""
 
     def __init__(self, granted):
@@ -42,7 +42,7 @@ class RetryBudget:  # reprolint: owner=message
         return "<RetryBudget %d/%d spent>" % (self.spent, self.granted)
 
 
-class InvocationContext:  # reprolint: owner=message
+class InvocationContext:
     """The deadline + retry budget propagated along one invocation."""
 
     def __init__(self, submitted_at, deadline_at=None, retry_budget=None):

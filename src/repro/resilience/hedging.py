@@ -13,7 +13,7 @@ from .. import params
 from ..metrics import percentile
 
 
-class HedgeTracker:  # reprolint: owner=machine
+class HedgeTracker:
     """Windowed latency observations -> p99-derived hedge delay."""
 
     def __init__(self, initial_delay=None, pct=None, window=None,

@@ -11,7 +11,7 @@ Pure state, like everything in this package: no events, no randomness.
 """
 
 
-class SuspicionGate:  # reprolint: owner=cluster
+class SuspicionGate:
     """Per-key rising-edge detector with explicit reset."""
 
     def __init__(self):

@@ -14,12 +14,13 @@ event-handler-hygiene          :func:`audit_loop_drained`
 rpc-deadline                   :func:`audit_resilience`
 unclosed-span                  :func:`audit_traces`
 stale-generation-compare       :func:`audit_lineage`
-cross-shard-mutation           :func:`audit_races`
-tie-order-hazard               :func:`audit_races`
 raw-link-capacity              :func:`audit_fabric`
-scheduler-abstraction-leak     :func:`audit_shard`
 qp-create-outside-connplane    :func:`audit_connplane`
 =============================  ==========================================
+
+:func:`audit_shard` has no static counterpart: it checks the sharded fork
+rig's merged result (replica pick digests, disjoint ownership, a
+complete record partition).
 
 All auditors return a list of human-readable violation strings (empty when
 clean); the ``check_*`` wrappers raise :class:`SanitizerViolation` instead.
@@ -34,13 +35,12 @@ __all__ = [
     "SanitizerViolation", "enabled",
     "audit_frame_refcounts", "audit_memory_conservation",
     "audit_loop_drained", "audit_resilience", "audit_traces",
-    "audit_lineage", "audit_rig", "audit_races", "audit_fabric",
-    "audit_shard", "audit_connplane",
+    "audit_lineage", "audit_rig", "audit_fabric", "audit_shard",
+    "audit_connplane",
     "check_frame_refcounts", "check_memory_conservation",
     "check_loop_drained", "check_resilience", "check_traces",
-    "check_lineage", "check_rig", "check_races", "check_fabric",
-    "check_shard", "check_connplane",
-    "RaceAuditor", "watch_fn_cluster",
+    "check_lineage", "check_rig", "check_fabric", "check_shard",
+    "check_connplane",
 ]
 
 
@@ -512,19 +512,14 @@ def check_rig(rig, drain=True):
     _check(audit_rig(rig, drain=drain))
 
 
-def check_races(auditor):
-    """Raise :class:`SanitizerViolation` on any unclaimed runtime race."""
-    _check(audit_races(auditor))
-
-
 def check_fabric(net):
     """Raise :class:`SanitizerViolation` on any fabric conservation failure."""
     _check(audit_fabric(net))
 
 
-def check_shard(run):
+def check_shard(result):
     """Raise :class:`SanitizerViolation` on any shard contract failure."""
-    _check(audit_shard(run))
+    _check(audit_shard(result))
 
 
 def check_connplane(plane):
@@ -534,5 +529,4 @@ def check_connplane(plane):
 
 from .connplane import audit_connplane  # noqa: E402
 from .fabric import audit_fabric  # noqa: E402
-from .races import RaceAuditor, audit_races, watch_fn_cluster  # noqa: E402
 from .shard import audit_shard  # noqa: E402

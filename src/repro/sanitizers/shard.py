@@ -1,79 +1,19 @@
-"""Runtime audit of the conservative-sync shard contract.
+"""Runtime audit of the sharded fork rig's merged result.
 
-Cross-validates the ``scheduler-abstraction-leak`` lint rule's static
-side the same way the race auditor backs the shard-boundary report:
-statically the queue is only touched through the scheduler interface;
-dynamically this auditor checks the protocol the sharded run relied on —
+The rig's workers never exchange messages: each replays the whole burst
+and keeps only the invocations its shard owns.  The merged result
+from :func:`~repro.shard.fork_rig.run_sharded` is sound only if
 
-* no message undercuts the lookahead bound (``deliver_at`` at least
-  ``lookahead`` past ``sent_at``),
-* no message lands in a receiver's past, and deliveries are in the
-  fixed merge order,
-* windows advance monotonically,
-* shard replicas agree (identical pick digests) and own a disjoint,
-  complete partition of the cluster with namespaced event ids.
-
-Accepts the three shapes shard runs produce: a list of live
-:class:`~repro.shard.sync.ShardSim` instances, the per-shard report
-dicts from :func:`~repro.shard.coordinator.run_windows_mp`, or a merged
-fork-rig result from :func:`~repro.shard.fork_rig.run_sharded`.
+* every replica replayed the same pick sequence (identical pick
+  digests) and the full pick count,
+* the shards own a disjoint set of invokers, and
+* the merged records are a complete per-invocation partition.
 """
 
-def _audit_windows(violations, label, windows):
-    last_start = None
-    for start, horizon in windows:
-        if horizon < start:
-            violations.append(
-                "%s: window [%g, %g) ends before it starts"
-                % (label, start, horizon))
-        if last_start is not None and start < last_start:
-            violations.append(
-                "%s: window start %g went backwards (previous %g)"
-                % (label, start, last_start))
-        last_start = start
 
-
-def _audit_traffic(violations, label, lookahead, sent, received):
-    if lookahead <= 0:
-        violations.append("%s: non-positive lookahead %r — the "
-                          "conservative bound is vacuous"
-                          % (label, lookahead))
-    for message in sent:
-        if message.deliver_at - message.sent_at < lookahead:
-            violations.append(
-                "%s: %r delivers %g after send — under the %g lookahead"
-                % (label, message, message.deliver_at - message.sent_at,
-                   lookahead))
-    last_key = None
-    for message in received:
-        key = message.merge_key()
-        if last_key is not None and key < last_key:
-            violations.append(
-                "%s: delivery of %r out of merge order" % (label, message))
-        last_key = key
-
-
-def _audit_sims(sims):
-    violations = []
-    for sim in sims:
-        label = "shard %d" % sim.shard_id
-        _audit_windows(violations, label, sim.windows)
-        _audit_traffic(violations, label, sim.lookahead, sim.sent,
-                       sim.received)
-    return violations
-
-
-def _audit_window_reports(reports):
-    violations = []
-    for report in reports:
-        label = "shard %d" % report["shard"]
-        _audit_windows(violations, label, report["windows"])
-        _audit_traffic(violations, label, report["lookahead"],
-                       report["sent"], report["received"])
-    return violations
-
-
-def _audit_rig_result(result):
+def audit_shard(result):
+    """Audit one merged sharded run; returns violation strings (empty =
+    clean)."""
     violations = []
     reports = result["shards"]
     digests = {report["pick_digest"] for report in reports}
@@ -85,36 +25,12 @@ def _audit_rig_result(result):
             violations.append(
                 "shard %d replayed %d picks, expected %d"
                 % (report["shard"], report["picks"], result["num_forks"]))
-        _audit_windows(violations, "shard %d" % report["shard"],
-                       report["windows"])
-        if report["lookahead"] <= 0:
-            violations.append("shard %d: non-positive lookahead"
-                              % report["shard"])
-        if report["messages_sent"] or report["messages_received"]:
-            violations.append(
-                "shard %d claims the replay contract but exchanged "
-                "%d/%d runtime messages"
-                % (report["shard"], report["messages_sent"],
-                   report["messages_received"]))
     owned = [index for report in reports
              for index in report["owned_invokers"]]
     if len(owned) != len(set(owned)):
         violations.append("invoker ownership overlaps across shards")
-    bases = {report["eid_base"] for report in reports}
-    if len(bases) != len(reports):
-        violations.append("event-id namespaces collide across shards")
     seen = [entry[0] for entry in result["records"]]
     if seen != sorted(set(seen)) or len(seen) != result["num_forks"]:
         violations.append(
             "merged records are not a complete per-invocation partition")
     return violations
-
-
-def audit_shard(run):
-    """Audit one sharded run; returns violation strings (empty = clean)."""
-    if isinstance(run, dict) and "shards" in run:
-        return _audit_rig_result(run)
-    run = list(run)
-    if run and isinstance(run[0], dict):
-        return _audit_window_reports(run)
-    return _audit_sims(run)

@@ -1,45 +1,26 @@
-"""Sharded simulation core: the cluster across CPU cores.
+"""The sharded fork rig: the 10K-fork burst across CPU cores.
 
-Partitions the cluster by machine group into worker processes, each
-running its own :class:`~repro.sim.Environment`, synchronized with
-conservative time-window lookahead (:data:`repro.params.SHARD_LOOKAHEAD`
-— the cheapest cross-machine RDMA verb bounds how far any shard may
-safely advance).  Cross-shard interactions are timestamped
-:class:`~repro.shard.messages.ShardMessage` objects with a fixed merge
-rule; the fork rig additionally exploits the burst's deterministic
-structure to *replay* its cross-shard inputs instead of streaming them
-(see :mod:`repro.shard.fork_rig`).
+Every worker process runs an identical replica of the cluster, replays
+all submissions, and fully simulates only the invocations its shard
+owns; see :mod:`repro.shard.fork_rig` for why the burst allows this and
+how the result is checked against a single-core run.
 
 Armed via ``REPRO_SHARDS=N`` (the perf harness and the ``shard``
 experiment read it); unset, nothing in this package is imported by the
 hot path and behaviour is byte-identical to the seed.
 """
 
-from .coordinator import (ShardWorkerError, run_sharded_tasks,
-                          run_windows_mp)
+from .coordinator import ShardWorkerError, run_sharded_tasks
 from .fork_rig import (default_shards, diff_outcomes, differential,
                        owner_of, run_sharded, run_single)
-from .messages import (EID_SHARD_SHIFT, ShardMessage, eid_base, eid_shard,
-                       intern_payload, merge_messages)
-from .sync import ShardSim, ShardSyncError, run_windows
 
 __all__ = [
-    "EID_SHARD_SHIFT",
-    "ShardMessage",
-    "ShardSim",
-    "ShardSyncError",
     "ShardWorkerError",
     "default_shards",
     "diff_outcomes",
     "differential",
-    "eid_base",
-    "eid_shard",
-    "intern_payload",
-    "merge_messages",
     "owner_of",
     "run_sharded",
     "run_sharded_tasks",
     "run_single",
-    "run_windows",
-    "run_windows_mp",
 ]

@@ -1,27 +1,14 @@
-"""Worker processes and the cross-process conservative-window driver.
+"""Worker processes for the sharded fork rig.
 
-Two entry points:
-
-* :func:`run_sharded_tasks` — fork one worker process per shard, run a
-  task in each, gather picklable reports.  The sharded fork rig uses
-  this: its shards interact only through deterministic replay (zero
-  runtime messages), so each worker runs one ``[0, inf)`` window and
-  the conservative contract is audited from the reports.
-* :func:`run_windows_mp` — the full window protocol over pipes for
-  models that *do* exchange runtime messages: each child hosts a
-  :class:`~repro.shard.sync.ShardSim`, the parent gathers EOTs, merges
-  and routes message batches, and broadcasts each round's horizon.
-
-Both use the ``fork`` start method (Linux): children inherit the parent
-image, so task closures and factories need not be picklable — only what
-travels through the pipes (reports and :class:`ShardMessage` batches)
-does.
+:func:`run_sharded_tasks` forks one worker process per shard, runs a
+task in each, and gathers picklable reports.  It uses the ``fork`` start
+method (Linux): children inherit the parent image, so task closures
+need not be picklable — only the reports that travel back through the
+pipes.
 """
 
 import multiprocessing
 import traceback
-
-from .messages import merge_messages
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -73,111 +60,3 @@ def run_sharded_tasks(task, workers):
     if failure is not None:
         raise ShardWorkerError(failure)
     return reports
-
-
-def _windows_child_main(conn, factory, shard_id):
-    """Child entry for :func:`run_windows_mp`: one round-protocol slave.
-
-    Protocol, parent-driven, mirroring one :func:`~repro.shard.sync
-    .run_windows` round: recv ``("drain", _)`` -> reply ``("outbox",
-    batch)`` (catches messages sent at factory time too); recv
-    ``("deliver", batch)`` -> deliver, reply ``("eot", t)``; recv
-    ``("advance", (horizon, final))`` -> advance — when ``final``,
-    drain completely and reply ``("report", summary)``.
-    """
-    try:
-        sim = factory(shard_id)
-        while True:
-            tag, payload = conn.recv()
-            if tag == "drain":
-                conn.send(("outbox", sim.drain_outbox()))
-            elif tag == "deliver":
-                sim.deliver(payload)
-                conn.send(("eot", sim.eot()))
-            elif tag == "advance":
-                horizon, final = payload
-                sim.advance_to(float("inf") if final else horizon)
-                if final:
-                    conn.send(("report", {
-                        "shard": sim.shard_id,
-                        "now": sim.env.now,
-                        "events": sim.env.events_processed,
-                        "windows": sim.windows,
-                        "sent": sim.sent,
-                        "received": sim.received,
-                        "lookahead": sim.lookahead,
-                    }))
-                    return
-            else:
-                raise ShardWorkerError("unknown round tag %r" % (tag,))
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _recv(conn, shard_id):
-    tag, payload = conn.recv()
-    if tag == "error":
-        raise ShardWorkerError("shard worker %d failed:\n%s"
-                               % (shard_id, payload))
-    return tag, payload
-
-
-def run_windows_mp(factory, workers, max_rounds=1_000_000):
-    """Conservative windows across processes; returns per-shard reports.
-
-    ``factory(shard_id)`` builds each child's
-    :class:`~repro.shard.sync.ShardSim` (payload routing follows the
-    same ``(dst_shard, body)`` convention as
-    :func:`~repro.shard.sync.run_windows`).
-    """
-    pipes, procs = [], []
-    for shard_id in range(workers):
-        parent_conn, child_conn = _CTX.Pipe()
-        proc = _CTX.Process(target=_windows_child_main,
-                            args=(child_conn, factory, shard_id))
-        proc.start()
-        child_conn.close()
-        pipes.append(parent_conn)
-        procs.append(proc)
-    try:
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > max_rounds:
-                raise ShardWorkerError(
-                    "conservative sync exceeded %d rounds" % max_rounds)
-            batches = []
-            for conn in pipes:
-                conn.send(("drain", None))
-            for shard_id, conn in enumerate(pipes):
-                _tag, outbox = _recv(conn, shard_id)
-                batches.append(outbox)
-            in_flight = merge_messages(batches)
-            routed = {shard_id: [] for shard_id in range(workers)}
-            for message in in_flight:
-                dst, _body = message.payload
-                routed[dst].append(message)
-            eots = []
-            for shard_id, conn in enumerate(pipes):
-                conn.send(("deliver", routed[shard_id]))
-            for shard_id, conn in enumerate(pipes):
-                _tag, eot = _recv(conn, shard_id)
-                eots.append(eot)
-            horizon = min(eots)
-            final = horizon == float("inf") and not in_flight
-            for conn in pipes:
-                conn.send(("advance", (horizon, final)))
-            if final:
-                reports = []
-                for shard_id, conn in enumerate(pipes):
-                    _tag, report = _recv(conn, shard_id)
-                    report["rounds"] = rounds
-                    reports.append(report)
-                return reports
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()

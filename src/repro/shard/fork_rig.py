@@ -1,15 +1,15 @@
 """The sharded 10K-fork rig: partitioned replicas + differential check.
 
-The fail-free fork storm has a special structure the general message
-engine does not exploit: every cross-shard input to a shard's partition
-is *deterministically replayable*.  The LB's burst dispatch is a pure
-least-loaded round-robin over state that evolves only by the picks
-themselves (every pick precedes every completion), the provisioning
-sequence is seed-fixed, and no RNG stream is drawn on the fail-free
-path.  So instead of streaming messages, every worker builds an
-**identical replica** of the whole cluster, replays *all* submissions,
-and truncates foreign invocations immediately after their dispatch pick
-(the :attr:`~repro.fn.FnCluster.shard_filter` seam): the pick itself is
+The fail-free fork storm has a special structure: every cross-shard
+input to a shard's partition is *deterministically replayable*.  The
+LB's burst dispatch is a pure least-loaded round-robin over state that
+evolves only by the picks themselves (every pick precedes every
+completion), the provisioning sequence is seed-fixed, and no RNG stream
+is drawn on the fail-free path.  So instead of streaming messages,
+every worker builds an **identical replica** of the whole cluster,
+replays *all* submissions, and truncates foreign invocations
+immediately after their dispatch pick (the
+:attr:`~repro.fn.FnCluster.shard_filter` seam): the pick itself is
 replayed — keeping LB state exact — while the foreign fork/paging work
 is skipped.  Each invocation is fully simulated on exactly one shard,
 which is where the speedup comes from.
@@ -27,21 +27,17 @@ Two loud guards police the replay assumption:
   marginally earlier than single-core — the measured fidelity boundary,
   asserted small rather than assumed zero).
 
-Workers honour the conservative contract trivially — zero cross-shard
-messages, one ``[0, inf)`` window each — and report it for
-``audit_shard``.
+Workers never exchange messages; ``audit_shard`` checks the merged
+result (digests, pick counts, ownership, record partition).
 """
 
 import hashlib
 import os
 import time  # reprolint: disable=no-wallclock-or-global-random
 
-from .. import params
 from ..fn import FnCluster, MitosisPolicy
-from ..sim import Environment
 from ..workloads import tc0_profile
 from .coordinator import run_sharded_tasks
-from .messages import eid_base
 
 #: Environment knob: worker count for the sharded rig (the README
 #: quickstart's ``REPRO_SHARDS=4``).
@@ -71,17 +67,14 @@ def owner_of(invoker_index, workers):
     return invoker_index % workers
 
 
-def _build_cluster(shard_id, workers, batch_pages):
+def _build_cluster(batch_pages):
     """One replica of the harness's fork-rig cluster.
 
     Every worker builds the *same* cluster (same seed, same shape) so
-    provisioning and LB state replay identically; only the event-id
-    namespace differs (shard-tagged, for merged-log attribution).
+    provisioning and LB state replay identically.
     """
-    env = Environment(eid_base=eid_base(shard_id))
     return FnCluster(MitosisPolicy(), num_invokers=8, num_machines=11,
-                     num_dfs_osds=2, seed=0, batch_pages=batch_pages,
-                     env=env)
+                     num_dfs_osds=2, seed=0, batch_pages=batch_pages)
 
 
 def _drive_burst(fn, profile, num_forks):
@@ -111,7 +104,7 @@ def _record_tuple(index, record):
 
 def _fork_shard_task(shard_id, workers, num_forks, batch_pages):
     """Worker body: replica + truncation filter + measurement."""
-    fn = _build_cluster(shard_id, workers, batch_pages)
+    fn = _build_cluster(batch_pages)
     digest = hashlib.sha256()
     picks = 0
 
@@ -143,14 +136,6 @@ def _fork_shard_task(shard_id, workers, num_forks, batch_pages):
                     for i, r in enumerate(results) if r is not None],
         "pick_digest": digest.hexdigest(),
         "picks": picks,
-        "eid_base": eid_base(shard_id),
-        # Conservative contract, degenerate by construction: all
-        # cross-shard inputs were replayed, so no runtime messages and
-        # a single full-length window.
-        "lookahead": params.SHARD_LOOKAHEAD,
-        "windows": [(0.0, float("inf"))],
-        "messages_sent": 0,
-        "messages_received": 0,
     }
 
 
@@ -203,7 +188,7 @@ def run_sharded(num_forks, workers, batch_pages=0):
 
 def run_single(num_forks, batch_pages=0):
     """The same rig single-core, in-process — the differential baseline."""
-    fn = _build_cluster(0, 1, batch_pages)
+    fn = _build_cluster(batch_pages)
     profile = tc0_profile()
     wall0 = time.perf_counter()  # reprolint: disable=no-wallclock-or-global-random
     cpu0 = time.process_time()  # reprolint: disable=no-wallclock-or-global-random

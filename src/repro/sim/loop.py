@@ -5,11 +5,11 @@ helpers in :mod:`repro.params` define ``US``/``MS``/``SEC`` multipliers.
 """
 
 import sys
+from heapq import heappop, heappush
 from itertools import count
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Process, Timeout
-from .scheduler import make_scheduler
 
 #: Upper bound on the recycled-:class:`Timeout` free list.  Big enough to
 #: cover the in-flight timeouts of a 10K-fork replay's steady state, small
@@ -24,19 +24,13 @@ class Environment:
     primitive events, and advances time in :meth:`run`/:meth:`step`.
     """
 
-    def __init__(self, initial_time=0.0, scheduler=None, eid_base=0):
+    def __init__(self, initial_time=0.0):
         self._now = float(initial_time)
-        #: The pending-event store.  Every access goes through the
-        #: scheduler interface (push/pop_entry/peek_*) so ``REPRO_SCHED``
-        #: can swap the heap for a calendar queue; direct ``_queue``
-        #: indexing outside this module is a lint error
-        #: (scheduler-abstraction-leak).
-        self._queue = scheduler if scheduler is not None else make_scheduler()
-        #: Event ids break same-timestamp ties FIFO.  ``eid_base`` lets a
-        #: shard worker namespace its ids (shard k counts from
-        #: ``k << EID_SHARD_SHIFT``) so cross-shard merge order is total;
-        #: the default 0 keeps single-process ids byte-identical.
-        self._eid = count(eid_base)
+        #: The pending events: a :mod:`heapq` binary heap of
+        #: ``(when, priority, eid, event)`` entries.
+        self._queue = []
+        #: Event ids break same-timestamp ties FIFO.
+        self._eid = count()
         self._active_process = None
         #: Total events processed by :meth:`step` — the denominator for the
         #: wall-clock benchmark harness's events/sec metric.
@@ -110,26 +104,18 @@ class Environment:
         """
         if delay < 0:
             raise ValueError("negative delay %r" % (delay,))
-        self._queue.push(
-            (self._now + delay, 0 if priority else 1, next(self._eid), event))
+        heappush(self._queue, (self._now + delay, 0 if priority else 1,
+                               next(self._eid), event))
 
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue.peek_when()
-
-    def peek_entry(self):
-        """The next ``(when, priority, eid, event)`` entry, or ``None``.
-
-        The supported way to observe the queue head without popping it
-        (the race auditor's hook); direct ``_queue`` access is a lint
-        error because the storage layout is scheduler-specific.
-        """
-        return self._queue.peek_entry()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self):
         """Process the single next event, advancing the clock to it."""
         try:
-            when, _, _, event = self._queue.pop_entry()
+            when, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("event queue is empty")
         if when < self._now:  # pragma: no cover - guarded by schedule()
@@ -154,12 +140,13 @@ class Environment:
     def instrument_step(self, wrap):
         """Shadow :meth:`step` with ``wrap(self.step)`` on this instance.
 
-        The hook the runtime race auditor uses: ``wrap`` receives the
-        bound original and must return a callable run in its place.
-        Because :meth:`run` binds ``step = self.step`` once on entry,
-        install the wrapper *before* calling :meth:`run`.  With no
-        wrapper installed there is zero hot-path cost — the method only
-        exists on the class, and ``self.step`` resolves as always.
+        The hook for observing every processed event (the golden digests'
+        per-step hash uses it): ``wrap`` receives the bound original and
+        must return a callable run in its place.  Because :meth:`run`
+        binds ``step = self.step`` once on entry, install the wrapper
+        *before* calling :meth:`run`.  With no wrapper installed there is
+        zero hot-path cost — the method only exists on the class, and
+        ``self.step`` resolves as always.
         """
         if "step" in self.__dict__:
             raise SimulationError("step is already instrumented")
@@ -205,7 +192,7 @@ class Environment:
                     step()
             else:
                 while queue:
-                    if queue.peek_when() > stop_at:
+                    if queue[0][0] > stop_at:
                         self._now = stop_at
                         return None
                     step()

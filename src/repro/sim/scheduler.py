@@ -1,221 +1,20 @@
-"""Pluggable event schedulers for :class:`~repro.sim.loop.Environment`.
+"""The ``REPRO_SCHED`` knob, kept so callers that guard it get a clear error.
 
-The environment stores pending events as ``(when, priority, eid, event)``
-tuples and needs exactly four operations from its queue: ``push``,
-``pop_entry`` (min-first), ``peek_when``, and ``peek_entry``.  Two
-implementations provide them:
-
-* :class:`HeapScheduler` — the default.  A :mod:`heapq` binary heap, and
-  deliberately a ``list`` subclass so the run loop's emptiness test and
-  the pop path cost exactly what the seed's raw ``heappush``/``heappop``
-  did.  With ``REPRO_SCHED`` unset (or ``heap``) the event sequence is
-  byte-identical to the seed.
-* :class:`CalendarScheduler` — a calendar-queue / bucket-wheel
-  (R. Brown, CACM 1988): events hash into year-of-``width``-days
-  buckets, so ``push`` and ``pop_entry`` are O(1) amortized instead of
-  O(log n) when the schedule is dense and near-uniform — the 10K-fork
-  storm's regime.  Selected with ``REPRO_SCHED=calendar``.
-
-Both pop in the identical total order — the full ``(when, priority,
-eid)`` tuple — which the Hypothesis equivalence property in
-``tests/test_scheduler.py`` pins down, ties, zero delays, and priority
-events included.  The calendar keeps per-bucket heaps of the *same*
-tuples, so same-timestamp events (which always land in the same bucket)
-break ties exactly as the global heap does.
+The event loop has one scheduler, the :mod:`heapq` binary heap in
+:class:`~repro.sim.loop.Environment`, and does not read this knob.
 """
 
 import os
-from heapq import heappop, heappush
-
-#: Environment knob naming the scheduler (``heap`` | ``calendar``).
-SCHED_ENV_VAR = "REPRO_SCHED"
-
-SCHEDULERS = ("heap", "calendar")
 
 
 def default_scheduler_name():
-    """The scheduler ``REPRO_SCHED`` asks for (unset -> ``heap``)."""
-    name = os.environ.get(SCHED_ENV_VAR, "") or "heap"
-    if name not in SCHEDULERS:
-        raise ValueError(
-            "%s=%r: choose from %s" % (SCHED_ENV_VAR, name,
-                                       "|".join(SCHEDULERS)))
+    """``"heap"`` when ``REPRO_SCHED`` is unset, empty or ``heap``.
+
+    Any other value raises :class:`ValueError`: the calendar scheduler
+    was removed, and a run asking for it must not silently get the heap.
+    """
+    name = os.environ.get("REPRO_SCHED", "") or "heap"
+    if name != "heap":
+        raise ValueError("REPRO_SCHED=%r: the calendar scheduler was "
+                         "removed; unset REPRO_SCHED" % (name,))
     return name
-
-
-def make_scheduler(name=None):
-    """Instantiate a scheduler by name (default: ``REPRO_SCHED``)."""
-    if name is None:
-        name = default_scheduler_name()
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
-        return CalendarScheduler()
-    raise ValueError(
-        "unknown scheduler %r: choose from %s" % (name,
-                                                  "|".join(SCHEDULERS)))
-
-
-class HeapScheduler(list):
-    """Binary-heap scheduler — the seed's behaviour, verbatim.
-
-    Subclassing ``list`` keeps ``while queue:`` in the hot drain loop a
-    C-level truthiness test and lets ``heappush``/``heappop`` operate on
-    ``self`` directly, so the only cost over the seed's raw heap is one
-    bound-method call per push/pop.
-    """
-
-    __slots__ = ()
-
-    name = "heap"
-
-    def push(self, entry):
-        """Insert a ``(when, priority, eid, event)`` entry."""
-        heappush(self, entry)
-
-    def pop_entry(self):
-        """Remove and return the min entry; raises IndexError when empty."""
-        return heappop(self)
-
-    def peek_when(self):
-        """Timestamp of the next entry, or ``inf`` when empty."""
-        if not self:
-            return float("inf")
-        return self[0][0]
-
-    def peek_entry(self):
-        """The next entry without removing it, or ``None`` when empty."""
-        if not self:
-            return None
-        return self[0]
-
-
-#: Calendar sizing bounds.  Buckets double past 2x occupancy and halve
-#: below 1/2x, the classic thresholds; the floor keeps degenerate tiny
-#: schedules from thrashing resizes.
-_MIN_BUCKETS = 16
-_MAX_BUCKETS = 1 << 20
-#: Entries sampled for Brown's bucket-width rule at each resize.
-_WIDTH_SAMPLE = 25
-
-
-class CalendarScheduler:
-    """Calendar-queue scheduler: a bucket wheel over simulated time.
-
-    Entry ``(when, priority, eid, event)`` lives in bucket
-    ``int(when / width) % nbuckets``; a "year" is ``nbuckets * width``.
-    ``pop_entry`` walks the wheel from the current day and takes the
-    head of the first bucket whose head still falls inside the current
-    year; a full revolution without a hit (sparse far-future schedules —
-    heartbeat timers orders of magnitude past the paging traffic) falls
-    back to a direct min scan, then fast-forwards the calendar there.
-
-    Per-bucket ordering is a heap of the full tuples, so the pop order
-    equals :class:`HeapScheduler`'s total order exactly (same-``when``
-    entries always share a bucket, where ``(priority, eid)`` decides).
-    """
-
-    __slots__ = ("_buckets", "_width", "_size", "_day", "_year_end",
-                 "_last_when")
-
-    name = "calendar"
-
-    def __init__(self, width=1.0, nbuckets=_MIN_BUCKETS):
-        if width <= 0:
-            raise ValueError("bucket width must be positive")
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._width = float(width)
-        self._size = 0
-        #: Wheel position: index of the bucket ``pop_entry`` scans next.
-        self._day = 0
-        #: Exclusive end of the day ``_day`` currently covers.
-        self._year_end = self._width
-        #: Clock floor — the ``when`` of the last pop; new entries below
-        #: the current day still pop correctly via the direct-scan path.
-        self._last_when = 0.0
-
-    def __len__(self):
-        return self._size
-
-    def __bool__(self):
-        return self._size > 0
-
-    def _bucket_index(self, when):
-        return int(when / self._width) % len(self._buckets)
-
-    def push(self, entry):
-        """Insert a ``(when, priority, eid, event)`` entry."""
-        heappush(self._buckets[self._bucket_index(entry[0])], entry)
-        self._size += 1
-        if self._size > 2 * len(self._buckets):
-            self._resize(2 * len(self._buckets))
-
-    def pop_entry(self):
-        """Remove and return the min entry; raises IndexError when empty."""
-        if not self._size:
-            raise IndexError("pop from an empty calendar")
-        buckets = self._buckets
-        nbuckets = len(buckets)
-        day = self._day
-        year_end = self._year_end
-        width = self._width
-        for _ in range(nbuckets):
-            bucket = buckets[day]
-            if bucket and bucket[0][0] < year_end:
-                entry = heappop(bucket)
-                self._day = day
-                self._year_end = year_end
-                self._last_when = entry[0]
-                self._size -= 1
-                if (self._size < len(buckets) // 2
-                        and len(buckets) > _MIN_BUCKETS):
-                    self._resize(max(_MIN_BUCKETS, len(buckets) // 2))
-                return entry
-            day = (day + 1) % nbuckets
-            year_end += width
-        # A full revolution found nothing inside the year: every pending
-        # entry is at least a year out.  Direct-scan the bucket heads,
-        # pop the global min, and fast-forward the wheel to its day.
-        entry = min(bucket[0] for bucket in buckets if bucket)
-        bucket = buckets[self._bucket_index(entry[0])]
-        heappop(bucket)
-        self._day = self._bucket_index(entry[0])
-        self._year_end = (int(entry[0] / width) + 1) * width
-        self._last_when = entry[0]
-        self._size -= 1
-        return entry
-
-    def peek_entry(self):
-        """The next entry without removing it, or ``None`` when empty."""
-        if not self._size:
-            return None
-        return min(bucket[0] for bucket in self._buckets if bucket)
-
-    def peek_when(self):
-        """Timestamp of the next entry, or ``inf`` when empty."""
-        entry = self.peek_entry()
-        return float("inf") if entry is None else entry[0]
-
-    def _resize(self, nbuckets):
-        """Rebuild the wheel with ``nbuckets`` buckets and a re-estimated
-        width (Brown's rule: ~3x the mean gap between adjacent pending
-        timestamps, sampled from the earliest entries)."""
-        nbuckets = min(max(nbuckets, _MIN_BUCKETS), _MAX_BUCKETS)
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self._width = self._estimate_width(entries)
-        self._buckets = [[] for _ in range(nbuckets)]
-        for entry in entries:
-            heappush(self._buckets[self._bucket_index(entry[0])], entry)
-        floor = self._last_when
-        self._day = self._bucket_index(floor)
-        self._year_end = (int(floor / self._width) + 1) * self._width
-
-    def _estimate_width(self, entries):
-        if len(entries) < 2:
-            return self._width
-        sample = sorted(entry[0] for entry in entries)[:_WIDTH_SAMPLE]
-        gaps = [b - a for a, b in zip(sample, sample[1:]) if b > a]
-        if not gaps:
-            return self._width
-        mean_gap = sum(gaps) / len(gaps)
-        return max(3.0 * mean_gap, 1e-9)

@@ -13,7 +13,7 @@ from .. import params
 from ..kernel import VmaKind
 
 
-class FunctionProfile:  # reprolint: owner=message
+class FunctionProfile:
     """The dynamic behaviour of one serverless function."""
 
     def __init__(self, name, image, compute_us, touch_fractions,
@@ -55,7 +55,7 @@ class FunctionProfile:  # reprolint: owner=message
             self.name, self.compute_us / params.MS)
 
 
-class ExecutionResult:  # reprolint: owner=message
+class ExecutionResult:
     """Measurements from one function execution."""
 
     __slots__ = ("latency", "pages_touched", "faults_taken", "started_at",

@@ -3,10 +3,8 @@ fabric fault events, and the congestion-control convergence property.
 
 The hypothesis test at the bottom is the PR's acceptance property: for
 *any* flow arrival schedule the congestion-control loop converges —
-queues stay bounded, every admitted transfer completes, the fabric
-conservation audit is clean, and every same-tick write/write conflict
-lands on the designed shared-fabric cells (``audit_races`` reports
-nothing unclaimed).
+queues stay bounded, every admitted transfer completes, and the fabric
+conservation audit is clean.
 """
 
 import hypothesis.strategies as st
@@ -20,8 +18,7 @@ from repro.fabricnet import (FABRIC_MODES, ClosFabricTopology, FabricFlow,
 from repro.faults import FabricCut, FabricDegrade, NicSaturation
 from repro.fn import FnCluster, MitosisPolicy
 from repro.rdma.errors import ConnectionError_
-from repro.sanitizers import (RaceAuditor, audit_fabric, audit_races,
-                              watch_fn_cluster)
+from repro.sanitizers import audit_fabric
 from repro.sim import Environment
 from repro.workloads import tc0_profile
 
@@ -400,6 +397,14 @@ class TestFnClusterFabric:
         with pytest.raises(RuntimeError):
             fn.faults.degrade_fabric(("host", 0), 2.0)
 
+    def test_fault_events_reject_spine_scope(self):
+        # Scopes are a host's access links or a ToR's uplink pair; the
+        # spine is not a fault scope.
+        with pytest.raises(ValueError):
+            FabricDegrade(10.0, ("spine", 0), factor=4.0, down_for=50.0)
+        with pytest.raises(ValueError):
+            FabricCut(10.0, ("spine", 0), down_for=50.0)
+
     def test_fault_events_drive_the_armed_model(self):
         fn = FnCluster(MitosisPolicy(), num_invokers=2, num_machines=5,
                        num_dfs_osds=2, seed=0)
@@ -456,22 +461,6 @@ class TestIncastExperimentWiring:
         assert audit_fabric(fn.fabric.net) == []
 
 
-#: The shared-fabric cells whose same-tick write ordering the event
-#: loop's insertion-order tie-break decides *by design* (see
-#: ``watch_fn_cluster``): every sender in an incast mutates the same
-#: link's virtual clock.  The static shard-boundary pass cannot reach
-#: them (no event-handler entry point owns the transfer path), so the
-#: property test claims them explicitly; anything outside this set is
-#: an unclaimed race and fails the audit.
-CLAIMED_FABRIC_CELLS = frozenset({
-    "FabricLink.busy_until",
-    "FabricLink.bytes_enqueued",
-    "FabricLink.bytes_delivered",
-    "FabricLink.bytes_dropped",
-    "FabricLink.ecn_marks",
-    "FabricNetwork.counters",
-})
-
 SCHEDULES = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=2000.0),
               st.integers(min_value=0, max_value=3),
@@ -484,17 +473,10 @@ class TestCongestionControlConvergence:
     @SETTINGS
     @given(mode=st.sampled_from(FABRIC_MODES), schedule=SCHEDULES)
     def test_any_arrival_schedule_converges(self, mode, schedule):
-        """Queues bounded, every transfer completes, conservation holds,
-        and no same-tick W/W conflict escapes the claimed cell set."""
+        """Queues bounded, every transfer completes, and conservation
+        holds."""
         rig = _NetRig(mode)
         env, net = rig.env, rig.net
-        auditor = RaceAuditor(env, claimed_cells=CLAIMED_FABRIC_CELLS)
-        for link in net.topology.links():
-            auditor.watch("FabricLink", link,
-                          ("busy_until", "bytes_enqueued", "bytes_delivered",
-                           "bytes_dropped", "ecn_marks"), label=link.name)
-        auditor.watch("FabricNetwork", net, ("counters",), label="net")
-        auditor.install()
         done = []
 
         def sender(delay, src, dst, nbytes):
@@ -507,7 +489,6 @@ class TestCongestionControlConvergence:
         for entry in schedule:
             env.process(sender(*entry))
         env.run()
-        auditor.uninstall()
 
         # Every admitted transfer completes (no cuts in these schedules).
         assert len(done) == len(schedule)
@@ -527,5 +508,3 @@ class TestCongestionControlConvergence:
         # DCQCN never pushes a marked flow below the floor or above line.
         for flow in flows:
             assert params.FABRIC_MIN_FLOW_RATE <= flow.rate <= flow.line_rate
-        # The race audit: nothing outside the designed shared cells.
-        assert audit_races(auditor) == []

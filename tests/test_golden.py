@@ -7,8 +7,9 @@ Three small MITOSIS rigs run with every opt-in layer off:
 * ``chains`` — 16 three-hop ``fork_prepare``/``fork_resume`` chains on
   8 invokers, each tail reading every hop's payload back.
 
-Each rig pins ``events_processed``, the final ``env.now`` and a sha256
-over its per-invocation (or per-hop) record tuples against
+Each rig pins ``events_processed``, the final ``env.now``, a sha256
+over its per-invocation (or per-hop) record tuples and a rolling sha256
+over ``(when, event type)`` of every processed event against
 ``tests/golden/<rig>.json``.  A mismatch means the default path's
 simulated behaviour moved.  The test only compares; rewriting the files
 is the explicit step ``PYTHONPATH=src python tests/golden/regen.py``,
@@ -38,10 +39,36 @@ CHAIN_PAGES = 32
 CHAIN_PAYLOAD_OFFSET = 100
 
 
-def _cluster(invokers, machines):
-    """A MITOSIS FnCluster with TC0 registered (seed provisioned)."""
+def _hash_steps(env, digest):
+    """Feed ``(when, type(event).__name__)`` of every event ``env``
+    processes into ``digest``, through :meth:`Environment.instrument_step`.
+
+    The head entry is read before ``step`` pops it.
+    """
+    queue = env._queue
+
+    def wrap(step):
+        def hashed_step():
+            if queue:
+                when, _, _, event = queue[0]
+                digest.update(
+                    ("%r %s\n" % (when, type(event).__name__)).encode())
+            step()
+        return hashed_step
+
+    env.instrument_step(wrap)
+
+
+def _cluster(invokers, machines, steps):
+    """A MITOSIS FnCluster with TC0 registered (seed provisioned).
+
+    With ``steps`` (a sha256 object) every processed event, provisioning
+    included, feeds it (:func:`_hash_steps`).
+    """
     fn = FnCluster(MitosisPolicy(), num_invokers=invokers,
                    num_machines=machines, num_dfs_osds=2, seed=0)
+    if steps is not None:
+        _hash_steps(fn.env, steps)
     profile = tc0_profile()
     fn.env.run(fn.env.process(fn.register(profile)))
     return fn, profile
@@ -139,24 +166,24 @@ def _run_chains(fn, profile):
     return [record for chain in chains for record in chain]
 
 
-def fork_burst():
+def fork_burst(steps=None):
     """48 TC0 forks due within 1 ms on 8 invokers."""
-    fn, profile = _cluster(8, 11)
+    fn, profile = _cluster(8, 11, steps)
     return fn, _open_loop(fn, profile,
                           [i * 20.0 * params.US for i in range(48)])
 
 
-def spike():
+def spike(steps=None):
     """Two bursts of 80 invocations, 200 ms apart, into 2 invokers."""
-    fn, profile = _cluster(2, 5)
+    fn, profile = _cluster(2, 5, steps)
     burst = [i * 10.0 * params.US for i in range(80)]
     return fn, _open_loop(fn, profile,
                           burst + [200.0 * params.MS + t for t in burst])
 
 
-def chains():
+def chains(steps=None):
     """16 three-hop chains with payload read-back on 8 invokers."""
-    fn, profile = _cluster(8, 11)
+    fn, profile = _cluster(8, 11, steps)
     return fn, _run_chains(fn, profile)
 
 
@@ -170,7 +197,8 @@ def golden_path(name):
 
 def measure(name):
     """Run rig ``name`` and return the values its golden file pins."""
-    fn, records = RIGS[name]()
+    steps = hashlib.sha256()
+    fn, records = RIGS[name](steps)
     digest = hashlib.sha256()
     for record in records:
         digest.update(repr(record).encode())
@@ -178,7 +206,8 @@ def measure(name):
     return {"events_processed": fn.env.events_processed,
             "now": fn.env.now,
             "records": len(records),
-            "records_sha256": digest.hexdigest()}
+            "records_sha256": digest.hexdigest(),
+            "steps_sha256": steps.hexdigest()}
 
 
 @pytest.fixture

@@ -34,9 +34,6 @@ ALL_RULES = (
     "unclosed-span",
     "stale-generation-compare",
     "raw-link-capacity",
-    "cross-shard-mutation",
-    "tie-order-hazard",
-    "scheduler-abstraction-leak",
     "qp-create-outside-connplane",
 )
 
@@ -154,39 +151,6 @@ class TestRulePositives:
         assert "discarded" in messages[0]
         assert "never" in messages[1]
 
-    def test_cross_shard_mutation(self, report):
-        found = by_rule(report.findings, "cross-shard-mutation")
-        # All four flavours: machine->cluster, cluster->machine,
-        # foreign-instance receiver, and unproven owner.  Quietist's
-        # same-class self writes stay clean.
-        assert all(f.path == "src/repro/shard_bad.py" for f in found)
-        messages = sorted(f.message for f in found)
-        assert len(found) == 4
-        assert "foreign-instance receiver" in messages[0]
-        assert "owning shard is unproven" in messages[1]
-        assert "cluster-global Balancer writes machine-owned" in messages[2]
-        assert "machine-owned Agent writes cluster-global" in messages[3]
-
-    def test_tie_order_hazard(self, report):
-        found = by_rule(report.findings, "tie-order-hazard")
-        # Directory.table (publisher vs reclaimer, unordered) and
-        # Directory.counter (Agent._beat racing its own executions);
-        # both report at the cell's defining line.
-        assert all(f.path == "src/repro/shard_bad.py" for f in found)
-        assert len(found) == 2
-        cells = sorted(f.message.split(" ")[0] for f in found)
-        assert cells == ["Directory.counter", "Directory.table"]
-        assert all("_eid tie-break" in f.message for f in found)
-
-    def test_scheduler_abstraction_leak(self, report):
-        found = by_rule(report.findings, "scheduler-abstraction-leak")
-        # The depth probe and the head indexing; the suppressed case and
-        # the peek_entry() path stay clean, as does sim/loop.py (exempt:
-        # it owns the storage layout).
-        assert all(f.path == "src/repro/scheduler_bad.py" for f in found)
-        assert len(found) == 2
-        assert all("peek_entry" in f.message for f in found)
-
     def test_qp_create_outside_connplane(self, report):
         found = by_rule(report.findings, "qp-create-outside-connplane")
         # The direct RcQp and DcTarget constructions; the suppressed case
@@ -203,9 +167,8 @@ class TestSuppression:
     def test_one_pragma_suppression_per_rule(self, report):
         suppressed = {f.rule for f in report.suppressed}
         assert suppressed == set(ALL_RULES)
-        # One pragma case per rule (the program-scope shard rules
-        # included), plus hedge_bad.py's suppressed bare-literal case
-        # (rpc-deadline has two suppression fixtures).
+        # One pragma case per rule, plus hedge_bad.py's suppressed
+        # bare-literal case (rpc-deadline has two suppression fixtures).
         assert len(report.suppressed) == len(ALL_RULES) + 1
 
     def test_exempt_paths_never_flagged(self, report):
@@ -213,7 +176,6 @@ class TestSuppression:
         assert "src/repro/sim/rng.py" not in flagged
         assert "src/repro/kernel/page_table.py" not in flagged
         assert "src/repro/experiments/driver.py" not in flagged
-        assert "src/repro/sim/loop.py" not in flagged
 
     def test_baseline_roundtrip(self, report, tmp_path):
         baseline = str(tmp_path / "baseline.json")
@@ -383,19 +345,12 @@ class TestMetaRealTree:
         assert report.findings == [], report.to_text()
 
     def test_committed_baseline_holds_known_debt_only(self):
-        # Two kinds of grandfathered debt, nothing else: the one
-        # audit_lineage probe that deliberately `!=`-compares its
-        # WAL-replay snapshot (replay *equivalence*, not fencing), and
-        # the existing shard couplings the dataflow rules surfaced —
-        # the worklist for ROADMAP item 1, paid down incrementally.
+        # The only grandfathered finding: the audit_lineage probe that
+        # deliberately `!=`-compares its WAL-replay snapshot (replay
+        # *equivalence*, not fencing).
         baseline = engine.load_baseline(engine.DEFAULT_BASELINE)
         assert isinstance(baseline, dict)
-        probes = [k for k in baseline
-                  if k.startswith("stale-generation-compare:")]
-        assert probes == [k for k in baseline if k.startswith(
-            "stale-generation-compare:src/repro/sanitizers/__init__.py:")]
-        assert len(probes) == 1
-        rest = [k for k in baseline if k not in probes]
-        assert rest, "shard-coupling debt unexpectedly empty"
-        assert all(k.startswith(("cross-shard-mutation:",
-                                 "tie-order-hazard:")) for k in rest)
+        (key,) = baseline
+        assert key.startswith(
+            "stale-generation-compare:src/repro/sanitizers/__init__.py:")
+        assert baseline[key] == 1

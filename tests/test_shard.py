@@ -1,170 +1,45 @@
-"""Sharded simulation core: messages, conservative windows, fork rig.
+"""The sharded fork rig: partitioned replicas and the differential.
 
-The exactness tests are the PR's determinism contract: a two-shard
-ping-pong must replay byte-identically against the same model on one
-environment, the multiprocess driver must agree with the in-process
-one, and the sharded fork rig must reproduce the single-core rig's
-per-invocation outcomes exactly (with the residual timing skew bounded,
-not assumed zero).
+The exactness test is the rig's determinism contract: the sharded fork
+rig must reproduce the single-core rig's per-invocation outcomes
+exactly (with the residual timing skew bounded, not assumed zero), and
+``audit_shard`` must catch a merged result that breaks the replica
+contract.
 """
 
 import pytest
 
-from repro import params, sanitizers
-from repro.shard import (EID_SHARD_SHIFT, ShardMessage, ShardSim,
-                         ShardSyncError, default_shards, differential,
-                         eid_base, eid_shard, intern_payload,
-                         merge_messages, owner_of, run_windows,
-                         run_windows_mp)
+from repro import sanitizers
+from repro.shard import default_shards, differential, owner_of
 from repro.shard.fork_rig import SHARDS_ENV_VAR
-from repro.sim import Environment
 
 
-def _message(deliver_at, src_shard, seq, payload=(0, None), sent_at=0.0):
-    return ShardMessage(deliver_at=deliver_at, src_shard=src_shard,
-                        seq=seq, kind="t", payload=payload,
-                        sent_at=sent_at)
-
-
-class TestMessages:
-    def test_eid_namespacing_roundtrip(self):
-        assert eid_base(0) == 0
-        assert eid_base(3) == 3 << EID_SHARD_SHIFT
-        assert eid_shard(eid_base(3) + 12345) == 3
-        assert eid_shard(7) == 0
-
-    def test_environment_eids_carry_the_shard_tag(self):
-        env = Environment(eid_base=eid_base(2))
-        env.schedule(env.event())
-        _when, _prio, eid, _event = env.peek_entry()
-        assert eid_shard(eid) == 2
-
-    def test_merge_rule_total_order(self):
-        batches = [[_message(5.0, 1, 1), _message(2.0, 1, 2)],
-                   [_message(2.0, 0, 9), _message(2.0, 0, 3)]]
-        merged = merge_messages(batches)
-        assert [m.merge_key() for m in merged] == [
-            (2.0, 0, 3), (2.0, 0, 9), (2.0, 1, 2), (5.0, 1, 1)]
-
-    def test_intern_payload_dedups(self):
-        first = intern_payload(("get", (1, 2), "page"))
-        second = intern_payload(("get", (1, 2), "page"))
-        assert first is second
-        unhashable = intern_payload(["not", "hashable"])
-        assert unhashable == ["not", "hashable"]
-
-
-def _pingpong_sharded(hops, latency):
-    """Two shards volleying a counter; returns (trace, sims, rounds)."""
-    trace = []
-
-    def handler(sim, message):
-        _dst, count = message.payload
-        trace.append((sim.env.now, sim.shard_id, count))
-        if count < hops:
-            sim.send(1 - sim.shard_id, "ping",
-                     (1 - sim.shard_id, count + 1), latency=latency)
-
-    sims = [ShardSim(0, handler, lookahead=latency),
-            ShardSim(1, handler, lookahead=latency)]
-    sims[0].send(1, "ping", (1, 1), latency=latency)
-    rounds = run_windows(sims)
-    return trace, sims, rounds
-
-
-def _pingpong_single(hops, latency):
-    """The same volley on one environment — the exactness oracle."""
-    env = Environment()
-    trace = []
-
-    def volley():
-        for count in range(1, hops + 1):
-            yield env.timeout(latency)
-            trace.append((env.now, count % 2, count))
-
-    env.run(env.process(volley()))
-    return trace
-
-
-class TestConservativeWindows:
-    def test_pingpong_matches_single_environment(self):
-        sharded, sims, rounds = _pingpong_sharded(7, latency=1.0)
-        assert sharded == _pingpong_single(7, latency=1.0)
-        assert rounds > 1  # genuinely windowed, not one mega-window
-        assert sanitizers.audit_shard(sims) == []
-
-    def test_lookahead_undercut_raises(self):
-        sim = ShardSim(0, lookahead=1.0)
-        with pytest.raises(ShardSyncError):
-            sim.send(1, "ping", (1, 0), latency=0.5)
-
-    def test_delivery_in_the_past_raises(self):
-        sim = ShardSim(0, lookahead=1.0, env=Environment(initial_time=5.0))
-        with pytest.raises(ShardSyncError):
-            sim.deliver([_message(4.0, 1, 1)])
-
-    def test_round_guard_trips_on_tiny_budget(self):
-        with pytest.raises(ShardSyncError):
-            trace = []
-
-            def handler(sim, message):
-                _dst, count = message.payload
-                trace.append(count)
-                if count < 50:
-                    sim.send(1 - sim.shard_id, "ping",
-                             (1 - sim.shard_id, count + 1), latency=1.0)
-
-            sims = [ShardSim(0, handler, lookahead=1.0),
-                    ShardSim(1, handler, lookahead=1.0)]
-            sims[0].send(1, "ping", (1, 1), latency=1.0)
-            run_windows(sims, max_rounds=3)
-
-    def test_multiprocess_driver_agrees_with_in_process(self):
-        hops, latency = 7, 1.0
-        _trace, sims, rounds = _pingpong_sharded(hops, latency)
-
-        def factory(shard_id):
-            def handler(sim, message):
-                _dst, count = message.payload
-                if count < hops:
-                    sim.send(1 - sim.shard_id, "ping",
-                             (1 - sim.shard_id, count + 1),
-                             latency=latency)
-            sim = ShardSim(shard_id, handler, lookahead=latency)
-            if shard_id == 0:
-                sim.send(1, "ping", (1, 1), latency=latency)
-            return sim
-
-        reports = run_windows_mp(factory, workers=2)
-        assert sanitizers.audit_shard(reports) == []
-        for sim, report in zip(sims, reports):
-            assert report["shard"] == sim.shard_id
-            assert report["now"] == sim.env.now
-            assert report["events"] == sim.env.events_processed
-            assert report["rounds"] == rounds
-            assert ([m.merge_key() for m in report["received"]]
-                    == [m.merge_key() for m in sim.received])
+def _merged_result():
+    """A clean two-shard merged result over two invocations."""
+    return {
+        "num_forks": 2,
+        "records": [(0,), (1,)],
+        "shards": [
+            {"shard": 0, "pick_digest": "d", "picks": 2,
+             "owned_invokers": [0]},
+            {"shard": 1, "pick_digest": "d", "picks": 2,
+             "owned_invokers": [1]},
+        ],
+    }
 
 
 class TestShardAudit:
-    def test_flags_lookahead_violation_in_sent_log(self):
-        sim = ShardSim(0, lookahead=1.0)
-        sim.send(1, "ping", (1, 0), latency=2.0)
-        # Tamper behind the API, as a buggy engine would.
-        sim.sent[0] = _message(0.1, 0, 1, sent_at=0.0)
-        assert any("lookahead" in v for v in sanitizers.audit_shard([sim]))
-
-    def test_flags_out_of_merge_order_delivery(self):
-        sim = ShardSim(0, lookahead=1.0)
-        sim.received = [_message(5.0, 0, 1, sent_at=3.0),
-                        _message(2.0, 0, 2, sent_at=1.0)]
-        assert any("merge order" in v
-                   for v in sanitizers.audit_shard([sim]))
-
     def test_check_shard_raises(self):
-        sim = ShardSim(0, lookahead=-1.0)
-        with pytest.raises(sanitizers.SanitizerViolation):
-            sanitizers.check_shard([sim])
+        sanitizers.check_shard(_merged_result())  # clean: no raise
+        short = _merged_result()
+        short["shards"][1]["picks"] = 1
+        with pytest.raises(sanitizers.SanitizerViolation, match="picks"):
+            sanitizers.check_shard(short)
+        lost = _merged_result()
+        lost["records"] = [(0,)]
+        with pytest.raises(sanitizers.SanitizerViolation,
+                           match="partition"):
+            sanitizers.check_shard(lost)
 
 
 class TestForkRigPartition:
@@ -203,9 +78,3 @@ class TestForkRigPartition:
             sharded["shards"][0]["owned_invokers"])
         assert any("ownership" in v
                    for v in sanitizers.audit_shard(sharded))
-
-    def test_sharded_rig_uses_namespaced_eids(self):
-        _single, sharded, _diff = differential(40, workers=2)
-        bases = [report["eid_base"] for report in sharded["shards"]]
-        assert bases == [eid_base(0), eid_base(1)]
-        assert params.SHARD_LOOKAHEAD > 0

@@ -14,6 +14,7 @@ from repro.sim import (
     SimulationError,
     Store,
 )
+from repro.sim.scheduler import default_scheduler_name
 
 
 def run(env, gen):
@@ -106,6 +107,11 @@ class TestEventEdgeCases:
         env = Environment()
         with pytest.raises(EmptySchedule):
             env.step()
+
+    def test_schedule_negative_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.schedule(env.event(), delay=-1)
 
     def test_process_requires_generator(self):
         env = Environment()
@@ -454,6 +460,96 @@ class TestSameTimestampFifo:
 
         # Both settle at t=10; the earlier-scheduled one wins the tie.
         assert run(env, driver()) == ["early-long", "late-short"]
+
+    def test_ties_zero_delays_and_interrupt_trace(self):
+        env = Environment()
+        trace = []
+
+        def worker(name, delays):
+            for delay in delays:
+                yield env.timeout(delay)
+                trace.append((env.now, name))
+
+        def sleeper():
+            try:
+                yield env.timeout(50.0)
+                trace.append((env.now, "slept"))
+            except Exception as exc:
+                trace.append((env.now, "interrupted:%s" % exc.args))
+
+        env.process(worker("a", [1.0, 0.0, 2.0]))
+        env.process(worker("b", [1.0, 2.0, 0.0]))
+        env.process(worker("c", [3.0, 0.0]))
+        victim = env.process(sleeper())
+
+        def killer():
+            yield env.timeout(2.0)
+            victim.interrupt("now")
+
+        env.process(killer())
+        env.run()
+        assert trace == [(1.0, "a"), (1.0, "b"), (1.0, "a"),
+                         (2.0, "interrupted:now"), (3.0, "c"), (3.0, "b"),
+                         (3.0, "a"), (3.0, "c"), (3.0, "b")]
+        assert env.events_processed == 21
+
+
+class TestSchedulerKnob:
+    """``REPRO_SCHED`` accepts only the heap, the one scheduler there is."""
+
+    @pytest.mark.parametrize("value", [None, "", "heap"],
+                             ids=["unset", "empty", "heap"])
+    def test_default_is_heap(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_SCHED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SCHED", value)
+        assert default_scheduler_name() == "heap"
+
+    @pytest.mark.parametrize("value", ["calendar", "splay"])
+    def test_invalid_name_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SCHED", value)
+        with pytest.raises(ValueError):
+            default_scheduler_name()
+
+
+class TestInstrumentStep:
+    def test_wrapper_sees_every_step(self):
+        env = Environment()
+        seen = [0]
+
+        def wrap(step):
+            def wrapped():
+                seen[0] += 1
+                return step()
+            return wrapped
+
+        def ticker():
+            for _ in range(5):
+                yield env.timeout(1.0)
+
+        env.instrument_step(wrap)
+        env.process(ticker())
+        env.run()
+        assert seen[0] == env.events_processed > 0
+
+    def test_double_install_rejected_and_uninstall_idempotent(self):
+        env = Environment()
+        env.instrument_step(lambda step: step)
+        with pytest.raises(SimulationError):
+            env.instrument_step(lambda step: step)
+        env.uninstrument_step()
+        env.uninstrument_step()  # no-op
+        env.instrument_step(lambda step: step)  # re-install is fine
+
+    def test_no_wrapper_means_no_instance_state(self):
+        # The zero-cost-off contract: an uninstrumented environment has
+        # nothing shadowing the class method.
+        env = Environment()
+        assert "step" not in env.__dict__
+        env.instrument_step(lambda step: step)
+        env.uninstrument_step()
+        assert "step" not in env.__dict__
 
 
 class TestTimeoutPooling:

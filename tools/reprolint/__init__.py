@@ -12,10 +12,9 @@ invariant <-> rule <-> sanitizer map and ``README.md`` for the pragma and
 baseline workflow.
 """
 
-from .engine import (DEFAULT_BASELINE, REGISTRY, Finding, Program, Report,
-                     Rule, load_baseline, rule, run, save_baseline)
+from .engine import (DEFAULT_BASELINE, REGISTRY, Finding, Report, Rule,
+                     load_baseline, rule, run, save_baseline)
 from . import rules as _builtin_rules  # noqa: F401  (registers the rules)
-from . import dataflow as _dataflow  # noqa: F401  (registers the rules)
 
-__all__ = ["DEFAULT_BASELINE", "REGISTRY", "Finding", "Program", "Report",
-           "Rule", "load_baseline", "rule", "run", "save_baseline"]
+__all__ = ["DEFAULT_BASELINE", "REGISTRY", "Finding", "Report", "Rule",
+           "load_baseline", "rule", "run", "save_baseline"]

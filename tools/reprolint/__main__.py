@@ -25,10 +25,6 @@ def main(argv=None):
     parser.add_argument("--severity", choices=engine.SEVERITIES, default=None,
                         help="run only rules at least this severe "
                              "('error' drops warning rules)")
-    parser.add_argument("--report", choices=("shard-boundary",), default=None,
-                        help="emit an analysis report instead of lint "
-                             "findings (shard-boundary: the cross-machine "
-                             "state-edge map for ROADMAP item 1)")
     parser.add_argument("--baseline", default=engine.DEFAULT_BASELINE,
                         help="baseline file (default: tools/reprolint/"
                              "baseline.json); pass '' to disable")
@@ -43,20 +39,6 @@ def main(argv=None):
             rule_obj = engine.REGISTRY[name]
             first = rule_obj.doc.splitlines()[0] if rule_obj.doc else ""
             print("%-32s [%s] %s" % (name, rule_obj.severity, first))
-        return 0
-
-    if args.report == "shard-boundary":
-        import json
-
-        from . import dataflow
-        from .dataflow import report as shard_report
-
-        analysis = dataflow.analyze_tree(scan_paths=tuple(args.paths))
-        payload = shard_report.build(analysis)
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(shard_report.to_text(payload))
         return 0
 
     try:

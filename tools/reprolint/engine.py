@@ -7,11 +7,8 @@ balanced resource acquisition, and non-re-entrant event callbacks.
 
 Extension points:
 
-* ``@rule("name")`` registers a checker.  A file-scope checker is a
-  function taking a :class:`SourceFile` and yielding ``(lineno, message)``
-  pairs.  A ``scope="program"`` checker instead takes a :class:`Program`
-  (every scanned file, parsed) and yields ``(path, lineno, message)``
-  triples — the hook used by the whole-program dataflow rules.
+* ``@rule("name")`` registers a checker: a function taking a
+  :class:`SourceFile` and yielding ``(lineno, message)`` pairs.
 * Per-rule ``severity`` ("error" fails the run, "warning" is report-only),
   ``paths`` (path prefixes the rule applies to) and ``exempt`` (path
   prefixes it skips — e.g. the one module allowed to own an invariant).
@@ -98,40 +95,18 @@ class SourceFile:
         return names is not None and (rule_name in names or "all" in names)
 
 
-class Program:
-    """The whole scanned tree, handed to ``scope="program"`` rules.
-
-    ``files`` maps repo-relative POSIX paths to :class:`SourceFile`
-    objects for *every* file under the scan paths — program rules see
-    the world and their findings are path-filtered afterwards, so a
-    rule's ``paths``/``exempt`` prefixes govern where it may *report*,
-    not what it may *read*.
-    """
-
-    def __init__(self, repo_root, files):
-        self.repo_root = repo_root
-        self.files = files
-
-
-SCOPES = ("file", "program")
-
-
 class Rule:
     """A registered checker plus its metadata."""
 
-    def __init__(self, name, check, severity, paths, exempt, doc,
-                 scope="file"):
+    def __init__(self, name, check, severity, paths, exempt, doc):
         if severity not in SEVERITIES:
             raise ValueError("severity must be one of %r" % (SEVERITIES,))
-        if scope not in SCOPES:
-            raise ValueError("scope must be one of %r" % (SCOPES,))
         self.name = name
         self.check = check
         self.severity = severity
         self.paths = tuple(paths)
         self.exempt = tuple(exempt)
         self.doc = doc
-        self.scope = scope
 
     def applies_to(self, rel_path):
         if self.paths and not any(rel_path.startswith(p) for p in self.paths):
@@ -143,25 +118,19 @@ class Rule:
             yield Finding(self.name, self.severity, source_file.path,
                           lineno, message)
 
-    def run_program(self, program):
-        for path, lineno, message in self.check(program):
-            if self.applies_to(path):
-                yield Finding(self.name, self.severity, path, lineno, message)
-
 
 #: name -> Rule.  Populated by the :func:`rule` decorator at import time;
 #: anything (plugins, repo-local checks) may register more before run().
 REGISTRY = {}
 
 
-def rule(name, severity="error", paths=("src/repro",), exempt=(),
-         scope="file"):
+def rule(name, severity="error", paths=("src/repro",), exempt=()):
     """Register a checker function under ``name``."""
     def decorator(func):
         if name in REGISTRY:
             raise ValueError("rule %r already registered" % (name,))
         REGISTRY[name] = Rule(name, func, severity, paths, exempt,
-                              (func.__doc__ or "").strip(), scope)
+                              (func.__doc__ or "").strip())
         return func
     return decorator
 
@@ -259,7 +228,7 @@ class Report:
 
 
 def _scan_file(source_file, rule_names):
-    """Run file-scope rules over one parsed file.
+    """Run rules over one parsed file.
 
     Returns ``(open_findings, suppressed)``; baseline classification
     happens in the parent so the count-aware baseline decrements in one
@@ -276,7 +245,7 @@ def _scan_file(source_file, rule_names):
 
 
 def _scan_file_worker(task):
-    """``--jobs`` child-process entry: parse one file and scan it.
+    """Parse one file and scan it; also the ``--jobs`` child-process entry.
 
     Under the ``fork`` start method the child inherits the parent's
     REGISTRY; under ``spawn`` the import below re-registers the built-in
@@ -313,22 +282,10 @@ def run(repo_root=REPO_ROOT, scan_paths=(DEFAULT_SCAN_ROOT,),
         threshold = SEVERITIES.index(min_severity)
         rules = [r for r in rules if SEVERITIES.index(r.severity) <= threshold]
 
-    file_rules = [r for r in rules if r.scope == "file"]
-    program_rules = [r for r in rules if r.scope == "program"]
-
-    files = list(iter_source_files(repo_root, scan_paths))
-    parsed = {}
-    if program_rules:
-        # Program rules see every scanned file; parse up front in the
-        # parent (child processes cannot share AST objects back).
-        for abs_path, rel_path in files:
-            rel_posix = rel_path.replace(os.sep, "/")
-            parsed[rel_posix] = SourceFile(abs_path, rel_path)
-
     tasks = []
-    for abs_path, rel_path in files:
+    for _abs_path, rel_path in iter_source_files(repo_root, scan_paths):
         rel_posix = rel_path.replace(os.sep, "/")
-        names = tuple(r.name for r in file_rules if r.applies_to(rel_posix))
+        names = tuple(r.name for r in rules if r.applies_to(rel_posix))
         if names:
             tasks.append((repo_root, rel_path, names))
 
@@ -338,30 +295,11 @@ def run(repo_root=REPO_ROOT, scan_paths=(DEFAULT_SCAN_ROOT,),
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_scan_file_worker, tasks)
     else:
-        results = []
-        for task_root, rel_path, names in tasks:
-            rel_posix = rel_path.replace(os.sep, "/")
-            source_file = parsed.get(rel_posix)
-            if source_file is None:
-                source_file = SourceFile(
-                    os.path.join(task_root, rel_path), rel_path)
-            results.append(_scan_file(source_file, names))
+        results = [_scan_file_worker(task) for task in tasks]
     for file_findings, file_suppressed in results:
         open_findings.extend(file_findings)
         suppressed.extend(file_suppressed)
 
-    if program_rules:
-        program = Program(repo_root, parsed)
-        for rule_obj in program_rules:
-            for finding in rule_obj.run_program(program):
-                source_file = parsed.get(finding.path)
-                if source_file is not None and source_file.disabled_on(
-                        finding.line, finding.rule):
-                    suppressed.append(finding)
-                else:
-                    open_findings.append(finding)
-
-    checked = {task[1].replace(os.sep, "/") for task in tasks} | set(parsed)
     # Canonical order *before* the baseline decrements its counts, so
     # which duplicate gets reported never depends on scan scheduling.
     open_findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
@@ -374,5 +312,5 @@ def run(repo_root=REPO_ROOT, scan_paths=(DEFAULT_SCAN_ROOT,),
             baselined.append(finding)
         else:
             findings.append(finding)
-    return Report(findings, suppressed, baselined, len(checked),
+    return Report(findings, suppressed, baselined, len(tasks),
                   {r.name for r in rules})

@@ -634,28 +634,6 @@ def raw_link_capacity(f):
                            % (param, advice))
 
 
-# --- scheduler-abstraction-leak -----------------------------------------------
-
-@rule("scheduler-abstraction-leak", exempt=("src/repro/sim/loop.py",))
-def scheduler_abstraction_leak(f):
-    """The environment's pending-event store is scheduler-specific:
-    ``REPRO_SCHED`` swaps the binary heap for a calendar queue whose
-    storage layout (a bucket wheel) shares nothing with a heap's flat
-    list.  Code outside ``sim/loop.py`` that touches ``_queue`` directly
-    — indexing it, measuring it, iterating it — silently assumes one
-    layout and breaks (or worse, misreads) under the other.  Observe the
-    queue through the supported interface instead: ``env.peek()`` /
-    ``env.peek_entry()`` for the head, ``env.schedule()`` to insert
-    (the ``audit_shard`` sanitizer polices the cross-shard half of the
-    contract at runtime)."""
-    for node in ast.walk(f.tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_queue":
-            yield (node.lineno,
-                   "direct `_queue` access outside sim/loop.py — the "
-                   "storage layout is scheduler-specific (REPRO_SCHED); "
-                   "use env.peek()/env.peek_entry()/env.schedule()")
-
-
 # --- qp-create-outside-connplane ----------------------------------------------
 
 _QP_TYPES = {"RcQp", "DcTarget"}
