@@ -15,7 +15,7 @@ lean-containerize, and rebuild the task with every recoverable page marked
 from .. import params
 
 from ..faults.errors import LeaseExpired, ParentUnreachable
-from ..kernel import KernelError
+from ..kernel import KernelError, Pte
 from ..metrics import LatencyRecorder
 from ..rdma import ConnectionError_, RemoteAccessError, RpcError
 from ..rdma.rpc import RpcTimeout
@@ -27,6 +27,19 @@ from .paging import RemotePager
 
 class ForkDepthExceeded(KernelError):
     """A fork would need an owner index beyond the 4 PTE bits (§4.4)."""
+
+
+def _pte_snapshot(pte):
+    """The descriptor entry for one real shadow PTE, or None when the
+    page is unmapped."""
+    if pte.present:
+        return PteSnapshot(pte.frame.pfn, owner_hop=0)
+    if pte.remote and pte.remote_pfn is not None:
+        return PteSnapshot(pte.remote_pfn, owner_hop=pte.owner_index + 1)
+    if pte.remote or pte.swap_slot is not None:
+        # Mapped, but no directly readable PA: Table 2's RPC row.
+        return PteSnapshot(None, owner_hop=0)
+    return None
 
 
 class Mitosis:
@@ -129,16 +142,31 @@ class Mitosis:
                 vma.start_vpn, vma.num_pages, vma.kind, vma.writable,
                 dct_target_id=target.target_id, dct_key=target.key))
 
+        # The shadow's entries() order without flattening it: snapshot
+        # order with real PTEs in place, then locally added vpns in
+        # insertion order.  An untouched snapshot entry yields what
+        # _pte_snapshot gives for the remote PTE it stands for.
+        table = shadow.address_space.page_table
+        built = dict(table.materialized())
         pte_snapshots = {}
-        for vpn, pte in shadow.address_space.page_table.entries():
-            if pte.present:
-                pte_snapshots[vpn] = PteSnapshot(pte.frame.pfn, owner_hop=0)
-            elif pte.remote and pte.remote_pfn is not None:
-                pte_snapshots[vpn] = PteSnapshot(
-                    pte.remote_pfn, owner_hop=pte.owner_index + 1)
-            elif pte.remote or pte.swap_slot is not None:
-                # Mapped, but no directly readable PA: Table 2's RPC row.
-                pte_snapshots[vpn] = PteSnapshot(None, owner_hop=0)
+        for vpn, elder in (table.snapshot or {}).items():
+            pte = built.pop(vpn, None)
+            if pte is not None:
+                entry = _pte_snapshot(pte)
+                if entry is None:
+                    continue
+            elif elder.remote_pfn is None:
+                entry = PteSnapshot(None, owner_hop=0)
+            else:
+                hop = elder.owner_hop + 1
+                if hop > params.MAX_FORK_HOPS:  # a corrupt snapshot
+                    raise Pte.owner_index_error(hop)
+                entry = PteSnapshot(elder.remote_pfn, owner_hop=hop)
+            pte_snapshots[vpn] = entry
+        for vpn, pte in built.items():
+            entry = _pte_snapshot(pte)
+            if entry is not None:
+                pte_snapshots[vpn] = entry
 
         descriptor = ContainerDescriptor(
             machine=self.machine,

@@ -248,9 +248,8 @@ class Kernel:
         child.fd_table = {fd: d.clone() for fd, d in parent.fd_table.items()}
         child_space = child.address_space
         child_space.vmas = [vma.clone_for_child() for vma in space.vmas]
-        for vpn, pte in space.page_table.entries():
-            child_pte = child_space.page_table.ensure(vpn)
-            child_pte.copy_mapping_from(pte)
+        for _, pte, child_pte in space.page_table.fork_into(
+                child_space.page_table):
             if pte.present:
                 child_pte.map_frame(self.frames.ref(pte.frame),
                                     writable=pte.writable, cow=True)

@@ -30,12 +30,18 @@ class Pte:
         self.owner_index = 0      # index into the predecessor list (4 bits)
         self.huge = False         # part of a THP-collapsed huge mapping
 
+    @staticmethod
+    def owner_index_error(index):
+        """The :class:`KernelError` for an owner index that does not fit
+        the 4 PTE bits."""
+        return KernelError(
+            "owner index %d does not fit the 4 PTE bits (max %d)"
+            % (index, params.MAX_FORK_HOPS))
+
     def set_owner_index(self, index):
         """Set the 4-bit owner index; raises beyond MAX_FORK_HOPS."""
         if not 0 <= index <= params.MAX_FORK_HOPS:
-            raise KernelError(
-                "owner index %d does not fit the 4 PTE bits (max %d)"
-                % (index, params.MAX_FORK_HOPS))
+            raise self.owner_index_error(index)
         self.owner_index = index
 
     # --- Owning mutation API ---------------------------------------------------
@@ -162,6 +168,8 @@ class PageTable:
     would have had: snapshot order first, then locally added vpns in
     insertion order.  :meth:`materialized` and :meth:`present_vpns` walk
     only the real PTEs — an untouched snapshot entry never holds a frame.
+    :meth:`fork_into` hands the snapshot map on to a forked table, so a
+    local fork copies only the real PTEs.
     """
 
     def __init__(self):
@@ -173,6 +181,12 @@ class PageTable:
         """Overlay this fresh table on a descriptor's ``vpn ->
         PteSnapshot`` map, which must stay unchanged from then on."""
         self._base = snapshots
+
+    @property
+    def snapshot(self):
+        """The attached ``vpn -> PteSnapshot`` map, or None.  Tables
+        share it, so it is read-only."""
+        return self._base
 
     def __len__(self):
         base = self._base
@@ -206,11 +220,29 @@ class PageTable:
             pte = self._entries[vpn] = Pte()
         return pte
 
+    def fork_into(self, child):
+        """Fork this table into the fresh table ``child`` (local fork).
+
+        ``child`` attaches this table's snapshot map, so an untouched
+        snapshot entry stays unbuilt in both; each real PTE gets a fresh
+        child PTE through :meth:`Pte.copy_mapping_from`.  Yields
+        ``(vpn, pte, child_pte)`` per real PTE, for the forking kernel to
+        share frames; the fork is complete once the iterator is.
+        """
+        child._base = self._base
+        child_entries = child._entries
+        for vpn, pte in self._entries.items():
+            child_pte = child_entries[vpn] = Pte()
+            child_pte.copy_mapping_from(pte)
+            yield vpn, pte, child_pte
+
     def entries(self):
         """Iterate (vpn, pte) pairs over the whole table.
 
         Flattens an attached snapshot first: every untouched snapshot vpn
         becomes a real PTE, and the map takes the eager copy's order.
+        Only walks that depend on that order use it: KSM, CRIU checkpoint
+        and :meth:`remote_vpns`.
         """
         base = self._base
         if base is not None:

@@ -8,12 +8,14 @@ Three small MITOSIS rigs run with every opt-in layer off:
   8 invokers, each tail reading every hop's payload back.
 
 Each rig pins ``events_processed``, the final ``env.now``, a sha256
-over its per-invocation (or per-hop) record tuples and a rolling sha256
-over ``(when, event type)`` of every processed event against
-``tests/golden/<rig>.json``.  A mismatch means the default path's
-simulated behaviour moved.  The test only compares; rewriting the files
-is the explicit step ``PYTHONPATH=src python tests/golden/regen.py``,
-and a change that does it must say why in CHANGES.md.
+over its per-invocation (or per-hop) record tuples, a rolling sha256
+over ``(when, event type)`` of every processed event and a sha256 over
+``(vpn, remote_pfn, owner_hop)`` of every published descriptor's PTE
+snapshots against ``tests/golden/<rig>.json``.  A mismatch means the
+default path's simulated behaviour moved.  The test only compares;
+rewriting the files is the explicit step
+``PYTHONPATH=src python tests/golden/regen.py``, and a change that does
+it must say why in CHANGES.md.
 """
 
 import hashlib
@@ -59,16 +61,40 @@ def _hash_steps(env, digest):
     env.instrument_step(wrap)
 
 
-def _cluster(invokers, machines, steps):
+def _hash_snapshots(deployment, digest):
+    """Feed ``(vpn, remote_pfn, owner_hop)`` of every PTE snapshot of
+    every descriptor a node of ``deployment`` publishes into ``digest``,
+    in publish order.
+
+    Handler ids and pids come from process-global counters, so they are
+    left out.
+    """
+    def wrap(publish):
+        def hashed_publish(descriptor, shadow_task):
+            for vpn, snap in descriptor.pte_snapshots.items():
+                digest.update(("%d %r %d\n" % (
+                    vpn, snap.remote_pfn, snap.owner_hop)).encode())
+            digest.update(b"--\n")
+            return publish(descriptor, shadow_task)
+        return hashed_publish
+
+    for node in deployment.nodes():
+        node.service.publish = wrap(node.service.publish)
+
+
+def _cluster(invokers, machines, steps, snapshots):
     """A MITOSIS FnCluster with TC0 registered (seed provisioned).
 
     With ``steps`` (a sha256 object) every processed event, provisioning
-    included, feeds it (:func:`_hash_steps`).
+    included, feeds it (:func:`_hash_steps`); with ``snapshots`` every
+    published descriptor does (:func:`_hash_snapshots`).
     """
     fn = FnCluster(MitosisPolicy(), num_invokers=invokers,
                    num_machines=machines, num_dfs_osds=2, seed=0)
     if steps is not None:
         _hash_steps(fn.env, steps)
+    if snapshots is not None:
+        _hash_snapshots(fn.deployment, snapshots)
     profile = tc0_profile()
     fn.env.run(fn.env.process(fn.register(profile)))
     return fn, profile
@@ -166,24 +192,24 @@ def _run_chains(fn, profile):
     return [record for chain in chains for record in chain]
 
 
-def fork_burst(steps=None):
+def fork_burst(steps=None, snapshots=None):
     """48 TC0 forks due within 1 ms on 8 invokers."""
-    fn, profile = _cluster(8, 11, steps)
+    fn, profile = _cluster(8, 11, steps, snapshots)
     return fn, _open_loop(fn, profile,
                           [i * 20.0 * params.US for i in range(48)])
 
 
-def spike(steps=None):
+def spike(steps=None, snapshots=None):
     """Two bursts of 80 invocations, 200 ms apart, into 2 invokers."""
-    fn, profile = _cluster(2, 5, steps)
+    fn, profile = _cluster(2, 5, steps, snapshots)
     burst = [i * 10.0 * params.US for i in range(80)]
     return fn, _open_loop(fn, profile,
                           burst + [200.0 * params.MS + t for t in burst])
 
 
-def chains(steps=None):
+def chains(steps=None, snapshots=None):
     """16 three-hop chains with payload read-back on 8 invokers."""
-    fn, profile = _cluster(8, 11, steps)
+    fn, profile = _cluster(8, 11, steps, snapshots)
     return fn, _run_chains(fn, profile)
 
 
@@ -197,8 +223,8 @@ def golden_path(name):
 
 def measure(name):
     """Run rig ``name`` and return the values its golden file pins."""
-    steps = hashlib.sha256()
-    fn, records = RIGS[name](steps)
+    steps, snapshots = hashlib.sha256(), hashlib.sha256()
+    fn, records = RIGS[name](steps, snapshots)
     digest = hashlib.sha256()
     for record in records:
         digest.update(repr(record).encode())
@@ -207,6 +233,7 @@ def measure(name):
             "now": fn.env.now,
             "records": len(records),
             "records_sha256": digest.hexdigest(),
+            "snapshots_sha256": snapshots.hexdigest(),
             "steps_sha256": steps.hexdigest()}
 
 

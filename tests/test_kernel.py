@@ -373,6 +373,36 @@ class TestSnapshotOverlay:
                 == [(v, pte_fields(p)) for v, p in eager.entries()])
         self.assert_same_view(overlay, eager)
 
+    @staticmethod
+    def fork(table):
+        """Fork ``table`` as Kernel.fork_local does; returns the child."""
+        child = PageTable()
+        for _, pte, child_pte in table.fork_into(child):
+            if pte.present:
+                child_pte.map_frame(pte.frame, writable=pte.writable,
+                                    cow=True)
+                pte.share_cow()
+        return child
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(SNAPSHOTS, OPS, OPS)
+    def test_fork_matches_fork_of_eager_copy(self, snapshots, ops, after):
+        overlay = PageTable()
+        overlay.attach_snapshot(snapshots)
+        eager = eager_copy(snapshots)
+        for op, vpn in ops:
+            self.apply(overlay, op, vpn)
+            self.apply(eager, op, vpn)
+        children = self.fork(overlay), self.fork(eager)
+        for op, vpn in after:  # the child runs on, the parent stays put
+            assert (self.apply(children[0], op, vpn)
+                    == self.apply(children[1], op, vpn))
+        for overlaid, flat in (children, (overlay, eager)):
+            self.assert_same_view(overlaid, flat)
+            assert ([(v, pte_fields(p)) for v, p in overlaid.entries()]
+                    == [(v, pte_fields(p)) for v, p in flat.entries()])
+
     def test_untouched_entries_are_not_materialized(self):
         overlay = PageTable()
         overlay.attach_snapshot({7: PteSnapshot(70), 9: PteSnapshot(90)})

@@ -533,45 +533,103 @@ class TestMultiHop:
         assert untouched_owner == 1   # grandparent (machine 0)
 
     @staticmethod
-    def _grandchild_snapshot(eager):
-        """fork_prepare from a resumed, partly touched child -> its
-        descriptor's (vpn, remote_pfn, owner_hop) list.  ``eager`` swaps
-        the child's overlay for the table fork_resume used to build."""
+    def _listed(node, meta):
+        """``meta``'s descriptor as a (vpn, remote_pfn, owner_hop) list."""
+        descriptor, _ = node.service.lookup(meta.handler_id, meta.auth_key)
+        return [(vpn, snap.remote_pfn, snap.owner_hop)
+                for vpn, snap in descriptor.pte_snapshots.items()]
+
+    @classmethod
+    def _multi_hop_snapshots(cls, eager):
+        """Three hops m0 -> m1 -> m2, each resumed task partly touched
+        before its fork_prepare; m0 reclaims one page first, so every
+        descriptor carries a no-PA entry for it.
+
+        Returns the snapshot lists (:meth:`_listed`) of the child's
+        descriptor, of a second, fan-out descriptor of the same child,
+        and of the grandchild's descriptor.  ``eager`` swaps each resumed
+        task's overlay for the table fork_resume used to build.
+        """
         env, cluster, runtimes, deployment = build_rig()
         parent = start_parent(env, runtimes[0])
-        k1 = runtimes[1].kernel
-        node0 = deployment.node(cluster.machine(0))
-        node1 = deployment.node(cluster.machine(1))
+        k0, k1, k2 = (runtimes[i].kernel for i in range(3))
+        node0, node1, node2 = (deployment.node(cluster.machine(i))
+                               for i in range(3))
         heap = parent.task.address_space.vmas[3]
 
-        def body():
-            meta0 = yield from node0.fork_prepare(parent)
-            child = yield from node1.fork_resume(meta0)
+        def resume(node, meta, parent_node):
+            container = yield from node.fork_resume(meta)
             if eager:
-                descriptor, _ = node0.service.lookup(meta0.handler_id,
-                                                     meta0.auth_key)
+                descriptor, _ = parent_node.service.lookup(meta.handler_id,
+                                                           meta.auth_key)
                 table = PageTable()
                 for vpn, snap in descriptor.pte_snapshots.items():
                     table.ensure(vpn).mark_remote(
                         snap.remote_pfn, owner_hop=snap.owner_hop)
-                child.task.address_space.page_table = table
+                container.task.address_space.page_table = table
+            return container
+
+        def body():
+            assert (yield from k0.reclaim(parent.task,
+                                          [heap.start_vpn + 5])) == 1
+            meta0 = yield from node0.fork_prepare(parent)
+            child = yield from resume(node1, meta0, node0)
             yield from k1.touch(child.task, heap.start_vpn + 2)
             yield from k1.write_page(child.task, heap.start_vpn, "w")
             stack = child.task.address_space.vmas[-1]
             child.task.address_space.grow(stack, 2)
             yield from k1.touch(child.task, stack.end_vpn - 1, write=True)
             meta1 = yield from node1.fork_prepare(child)
-            descriptor, _ = node1.service.lookup(meta1.handler_id,
-                                                 meta1.auth_key)
-            return [(vpn, snap.remote_pfn, snap.owner_hop)
-                    for vpn, snap in descriptor.pte_snapshots.items()]
+            fan_out = yield from node1.fork_prepare(child)
+            grandchild = yield from resume(node2, meta1, node1)
+            yield from k2.touch(grandchild.task, heap.start_vpn + 3)
+            yield from k2.write_page(grandchild.task, heap.start_vpn + 2,
+                                     "w2")
+            meta2 = yield from node2.fork_prepare(grandchild)
+            return [cls._listed(node1, meta1), cls._listed(node1, fan_out),
+                    cls._listed(node2, meta2)]
 
         return run(env, body())
 
     def test_prepare_from_resumed_child_matches_eager_rebuild(self):
-        overlay = self._grandchild_snapshot(eager=False)
-        assert overlay == self._grandchild_snapshot(eager=True)
-        assert {hop for _, _, hop in overlay} == {0, 1}
+        overlay = self._multi_hop_snapshots(eager=False)
+        assert overlay == self._multi_hop_snapshots(eager=True)
+        child, _, grandchild = overlay
+        assert {hop for _, _, hop in child} == {0, 1}
+        assert {hop for _, _, hop in grandchild} == {0, 1, 2}
+        for listed in overlay:  # the reclaimed page: Table 2's RPC row
+            assert [(pfn, hop) for _, pfn, hop in listed
+                    if pfn is None] == [(None, 0)]
+
+    def test_fan_out_prepares_list_identical_snapshots(self):
+        child, fan_out, _ = self._multi_hop_snapshots(eager=False)
+        assert fan_out == child
+
+    def test_prepare_from_resumed_child_builds_only_touched_ptes(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        k1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+        touched = [heap.start_vpn + i for i in range(4)]
+
+        def body():
+            meta0 = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta0)
+            for vpn in touched:
+                yield from k1.touch(child.task, vpn)
+            meta1 = yield from node1.fork_prepare(child)
+            _, shadow = node1.service.lookup(meta1.handler_id,
+                                             meta1.auth_key)
+            return child, shadow
+
+        child, shadow = run(env, body())
+        full = len(parent.task.address_space.page_table)  # 1,330 for TC0
+        for task in (child.task, shadow):
+            table = task.address_space.page_table
+            assert [vpn for vpn, _ in table.materialized()] == touched
+            assert len(table) == full
 
     def test_owner_hop_beyond_pte_bits_rejected_by_first_touch(self, rig):
         env, cluster, runtimes, deployment = rig
@@ -590,6 +648,27 @@ class TestMultiHop:
             with pytest.raises(KernelError):
                 child = yield from node1.fork_resume(meta)
                 yield from k1.touch(child.task, heap.start_vpn)
+            return True
+
+        assert run(env, body())
+
+    def test_derived_owner_hop_beyond_pte_bits_rejected_by_prepare(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            descriptor, _ = node0.service.lookup(meta.handler_id,
+                                                 meta.auth_key)
+            # Fits the child's PTE bits, but not the grandchild's.
+            descriptor.pte_snapshots[heap.start_vpn] = PteSnapshot(
+                0, owner_hop=params.MAX_FORK_HOPS)
+            child = yield from node1.fork_resume(meta)
+            with pytest.raises(KernelError, match="does not fit"):
+                yield from node1.fork_prepare(child)
             return True
 
         assert run(env, body())

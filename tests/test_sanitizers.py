@@ -28,9 +28,10 @@ def build_rig(**kwargs):
 
 
 def remote_fork_lifecycle(rig):
-    """Warm a parent, fork two remote children, execute, reclaim, tear down.
+    """Warm a parent, fork two remote children, execute, reclaim, fork a
+    grandchild from the first child, tear down.
 
-    Audits the rig at three quiescent points; returns nothing (raises
+    Audits the rig at four quiescent points; returns nothing (raises
     :class:`~repro.sanitizers.SanitizerViolation` on any audit failure).
     """
     profile = tc0_profile()
@@ -67,11 +68,33 @@ def remote_fork_lifecycle(rig):
     # Quiescent point 2: after reclaim + revocation-fallback churn.
     sanitizers.check_rig(rig)
 
+    def second_hop():
+        # Multi-hop (§4.4): the first child, resumed on a snapshot
+        # overlay, is forked again; the grandchild also reads a page the
+        # child never touched, which the seed's shadow serves two hops up.
+        child1 = state["children"][0]
+        touched = {vpn for vpn, _ in
+                   child1.task.address_space.page_table.materialized()}
+        far = next(vpn for vpn, _ in
+                   state["parent"].task.address_space.page_table.entries()
+                   if vpn not in touched)
+        meta1 = yield from rig.node(1).fork_prepare(child1)
+        grandchild = yield from rig.node(2).fork_resume(meta1)
+        yield from execute(rig.env, grandchild, profile)
+        yield from rig.kernel(2).touch(grandchild.task, far)
+        state.update(meta1=meta1, grandchild=grandchild)
+
+    rig.run(second_hop())
+    # Quiescent point 3: a second shadow, and a page owned two hops up.
+    sanitizers.check_rig(rig)
+
     assert rig.node(0).retire_descriptor(meta)
+    assert rig.node(1).retire_descriptor(state["meta1"])
+    rig.runtime(2).destroy(state["grandchild"])
     for index, child in enumerate(state["children"], start=1):
         rig.runtime(index).destroy(child)
     rig.runtime(0).destroy(state["parent"])
-    # Quiescent point 3: full teardown must return every frame and byte.
+    # Quiescent point 4: full teardown must return every frame and byte.
     sanitizers.check_rig(rig)
     for kernel in rig.kernels:
         assert kernel.frames.allocated == 0
