@@ -50,6 +50,12 @@ def load(path):
         return json.load(handle)
 
 
+def _cores(payload):
+    """The recorded ``os.cpu_count()`` of a run's host, or "unrecorded"
+    (files from before the harness recorded it)."""
+    return payload["host"].get("cpu_count") or "unrecorded"
+
+
 #: connscale gate thresholds: pooled throughput must grow at least this
 #: much from the smallest to the largest cluster, and the unpooled
 #: baseline must grow *less* (the 700/s factory plateau).
@@ -126,8 +132,8 @@ def main(argv=None):
     cur_cal = current["host"]["calibration_s"]
     speed = base_cal / cur_cal if cur_cal > 0 else 1.0
     print("host speed factor vs baseline: %.2fx "
-          "(baseline cal %.3fs, current cal %.3fs)"
-          % (speed, base_cal, cur_cal))
+          "(baseline cal %.3fs on %s cores, current cal %.3fs on %s cores)"
+          % (speed, base_cal, _cores(baseline), cur_cal, _cores(current)))
 
     failures = []
     for name, base_rig in sorted(baseline["rigs"].items()):

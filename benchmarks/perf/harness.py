@@ -279,6 +279,7 @@ def main(argv=None):
         "host": {
             "python": platform.python_version(),
             "platform": platform.system().lower(),
+            "cpu_count": os.cpu_count(),
             "calibration_s": calibration_s,
         },
         "rigs": rigs,

@@ -25,6 +25,7 @@ children share it through refcounted leases instead of creating more.
 """
 
 from collections import OrderedDict
+from functools import partial
 
 from .. import params
 from ..rdma import ConnectionError_
@@ -140,7 +141,7 @@ class QpPool:
         peer_id = peer_machine.machine_id
         grant = Event(self.env)
         self._demand.setdefault(peer_id, []).append(grant)
-        grant._abandon = lambda: self._abandon_grant(peer_id, grant)
+        grant._abandon = partial(self._abandon_grant, peer_id)
         if peer_id not in self._creators:
             self._creators[peer_id] = self.env.process(
                 self._creator(peer_machine))

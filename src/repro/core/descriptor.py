@@ -72,10 +72,6 @@ class VmaDescriptor:
         self.dct_target_id = dct_target_id
         self.dct_key = dct_key
 
-    def covers(self, vpn):
-        """True if ``vpn`` falls inside this VMA."""
-        return self.start_vpn <= vpn < self.start_vpn + self.num_pages
-
 
 class PteSnapshot:
     """One page-table entry in the descriptor.
@@ -131,7 +127,8 @@ class ContainerDescriptor:
     def find_vma(self, vpn):
         """The VMA descriptor covering ``vpn``, or None."""
         for vd in self.vma_descriptors:
-            if vd.covers(vpn):
+            start = vd.start_vpn
+            if start <= vpn < start + vd.num_pages:
                 return vd
         return None
 

@@ -55,7 +55,9 @@ class FaultInjector:
         self._lossy_links = {}
         #: machine_id -> list of active CPU slowdown factors (> 1).
         self._cpu_steal = {}
-        #: machine_id -> set of hosted processes (interrupted on crash).
+        #: machine_id -> hosted processes (interrupted on crash), as dict
+        #: keys so a crash interrupts them in hosting order; a set would
+        #: order them by address and make the recovery order vary by run.
         self._hosted = {}
         self._crash_hooks = []
         self._restart_hooks = []
@@ -93,12 +95,10 @@ class FaultInjector:
 
     def host_process(self, machine_id, process):
         """Tie ``process`` to a machine: a crash interrupts it fail-stop."""
-        bucket = self._hosted.setdefault(machine_id, set())
-        bucket.add(process)
-        if process.processed:
-            bucket.discard(process)
-        else:
-            process.callbacks.append(lambda _ev: bucket.discard(process))
+        bucket = self._hosted.setdefault(machine_id, {})
+        if not process.processed:
+            bucket[process] = None
+            process.callbacks.append(lambda _ev: bucket.pop(process, None))
         return process
 
     # --- State queries (zero simulated cost) -----------------------------------

@@ -435,7 +435,7 @@ class FnCluster:
         if grant.triggered:
             invoker.reroute.cancel(rerouted)
             return
-        grant._abandon()  # give our queue spot (or unclaimed slot) back
+        grant._abandon(grant)  # give our queue spot (or unclaimed slot) back
         invoker.reroute.cancel(rerouted)
         # (Timeouts are born `triggered`; `processed` is the fired test.)
         if timer is not None and timer.processed:

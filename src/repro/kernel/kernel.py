@@ -132,8 +132,8 @@ class Kernel:
                     raise SegmentationFault(task, vpn << params.PAGE_SHIFT,
                                             "write to read-only page")
             return pte.frame.content
-        yield from self.handle_fault(task, vpn, write=write)
-        return task.address_space.page_table.entry(vpn).frame.content
+        pte = yield from self.handle_fault(task, vpn, write=write)
+        return pte.frame.content
 
     def write_page(self, task, vpn, value):
         """Write ``value`` into a page (data-sharing experiments).
@@ -146,7 +146,8 @@ class Kernel:
         return value
 
     def handle_fault(self, task, vpn, write=False):
-        """The page-fault handler (Table 2 dispatch).  Generator."""
+        """The page-fault handler (Table 2 dispatch).  Generator
+        returning the serviced PTE."""
         yield self.env.timeout(params.PAGE_FAULT_OVERHEAD)
         space = task.address_space
         vma = space.find_vma(vpn)
@@ -162,7 +163,7 @@ class Kernel:
         if pte.present:
             if write and pte.cow:
                 yield from self._break_cow(task, vpn, pte)
-            return
+            return pte
 
         if pte.remote and pte.remote_pfn is not None:
             # VA mapped remotely and the parent PA is right in the PTE:
@@ -178,7 +179,7 @@ class Kernel:
             pte.clear_remote()
             if write and pte.cow:
                 yield from self._break_cow(task, vpn, pte)
-            return
+            return pte
 
         if pte.remote:
             # VA mapped remotely but no PA recorded (e.g. parent file page
@@ -190,26 +191,27 @@ class Kernel:
                 task, vma, vpn, pte)
             self._install(task, pte, vma, content)
             pte.clear_remote()
-            return
+            return pte
 
         if pte.swap_slot is not None:
             self.counters.incr("fault_swap_in")
             yield self.env.timeout(SWAP_IN_LATENCY)
             content = self.swap.pop(pte.swap_slot)
             self._install(task, pte, vma, content)  # map_frame clears the slot
-            return
+            return pte
 
         if vma.pager is not None:
             self.counters.incr("fault_pager")
             content = yield from vma.pager.fetch(task, vma, vpn)
             self._install(task, pte, vma, content)
-            return
+            return pte
 
         # Unmapped growth (stack/heap): vanilla demand-zero policy.
         self.counters.incr("fault_demand_zero")
         yield self.env.timeout(params.FRAME_ALLOC_LATENCY)
         self._install(task, pte, vma,
                       self._content_token(task, vpn, "zero"))
+        return pte
 
     def _install(self, task, pte, vma, content):
         self._charge_cgroup(task)

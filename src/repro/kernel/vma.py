@@ -46,10 +46,6 @@ class Vma:
         """One past the last vpn of the region."""
         return self.start_vpn + self.num_pages
 
-    def covers(self, vpn):
-        """True if ``vpn`` falls inside this VMA."""
-        return self.start_vpn <= vpn < self.end_vpn
-
     def vpns(self):
         """All vpns of the region, in order."""
         return range(self.start_vpn, self.end_vpn)
@@ -93,7 +89,8 @@ class AddressSpace:
     def find_vma(self, vpn):
         """The VMA covering ``vpn``, or None."""
         for vma in self.vmas:
-            if vma.covers(vpn):
+            start = vma.start_vpn
+            if start <= vpn < start + vma.num_pages:
                 return vma
         return None
 

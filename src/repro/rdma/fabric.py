@@ -43,13 +43,6 @@ class RdmaFabric:
         """One-way propagation latency between two machines."""
         return self.cluster.wire_latency(src_machine, dst_machine)
 
-    def path_up(self, src_machine, dst_machine):
-        """False only when an installed injector says the path is broken."""
-        if self.faults is None:
-            return True
-        return self.faults.path_up(src_machine.machine_id,
-                                   dst_machine.machine_id)
-
     def stream(self, source_nic, nbytes, extra_time=0.0, dst_machine=None):
         """Occupy the source NIC's link while ``nbytes`` flow out of it.
 

@@ -11,46 +11,40 @@ from .errors import ConnectionError_, RemoteAccessError
 
 
 class _QpBase:
+    """Shared verb plumbing.
+
+    Every verb reads ``fabric.faults`` once.  With no injector installed
+    (the fail-free path) it prices the operation at ``(slow, extra) =
+    (1.0, 0.0)`` — an exact float identity — and skips every fault
+    query; with one installed it checks the local port and the path,
+    then applies :meth:`_degrade` and :meth:`_lossy_retx`.
+    """
+
     def __init__(self, nic):
         self.nic = nic
         self.env = nic.env
 
-    def _fabric(self):
-        return self.nic.fabric
-
-    def _local_port_up(self):
-        """False only when an installed injector downed our own port."""
-        faults = self.nic.fabric.faults
-        return faults is None or faults.nic_up(self.nic.machine.machine_id)
-
-    def _path_up(self, peer_machine):
-        """False only when an installed injector broke the path to peer."""
-        return self.nic.fabric.path_up(self.nic.machine, peer_machine)
-
-    def _degrade(self, peer_machine):
-        """``(slowdown, extra_latency)`` for the path to ``peer_machine``.
+    def _degrade(self, faults, peer_machine):
+        """``(slowdown, extra_latency)`` for the path to ``peer_machine``
+        under the installed injector ``faults``.
 
         ``(1.0, 0.0)`` when healthy — applying it is then an exact float
-        identity, so the fail-free timing stays bit-identical.
+        identity, so the timing matches the fail-free path.
         """
-        faults = self.nic.fabric.faults
-        if faults is None or not faults.any_degraded:
+        if not faults.any_degraded:
             return 1.0, 0.0
         src = self.nic.machine.machine_id
         dst = peer_machine.machine_id
         return (faults.path_slowdown(src, dst),
                 faults.link_extra_latency(src, dst))
 
-    def _lossy_retx(self, peer_machine):
+    def _lossy_retx(self, faults, peer_machine):
         """Generator: retransmit penalties on a lossy link.
 
         Reliable transports (RC/DC) don't lose packets to a lossy link —
         they pay for them: each drop draw costs one go-back-N retransmit
         penalty, re-drawn geometrically until the packet gets through.
         """
-        faults = self.nic.fabric.faults
-        if faults is None:
-            return
         rate = faults.link_drop_rate(self.nic.machine.machine_id,
                                      peer_machine.machine_id)
         if rate <= 0.0:
@@ -99,13 +93,22 @@ class RcQp(_QpBase):
             raise ConnectionError_("RCQP to m%d is in ERROR state"
                                    % self.peer.machine_id)
 
-    def _transport_timeout(self):
-        """Exhaust the retry budget, move to ERROR, raise.  Generator."""
-        yield self.env.timeout(params.RC_RETRY_TIMEOUT)
-        self.state = "ERROR"
-        self.nic.counters.incr("rc_timeouts")
-        raise ConnectionError_(
-            "RCQP to m%d: transport retries exhausted" % self.peer.machine_id)
+    def _faulted_prologue(self, faults):
+        """Port, path, degradation and lossy retransmits under an
+        installed injector.  Generator returning ``(slow, extra)``."""
+        src = self.nic.machine.machine_id
+        if not faults.nic_up(src):
+            self.state = "ERROR"
+            raise ConnectionError_("RCQP on m%d: local port down" % src)
+        if not faults.path_up(src, self.peer.machine_id):
+            yield self.env.timeout(params.RC_RETRY_TIMEOUT)
+            self.state = "ERROR"
+            self.nic.counters.incr("rc_timeouts")
+            raise ConnectionError_("RCQP to m%d: transport retries exhausted"
+                                   % self.peer.machine_id)
+        slow_extra = self._degrade(faults, self.peer)
+        yield from self._lossy_retx(faults, self.peer)
+        return slow_extra
 
     def read(self, length, rkey=None, addr=0):
         """One-sided READ of ``length`` bytes from the connected peer.
@@ -121,17 +124,14 @@ class RcQp(_QpBase):
                                      peer=self.peer.machine_id, nbytes=length)
         try:
             self._check_usable()
-            if not self._local_port_up():
-                self.state = "ERROR"
-                raise ConnectionError_("RCQP on m%d: local port down"
-                                       % self.nic.machine.machine_id)
-            if not self._path_up(self.peer):
-                yield from self._transport_timeout()
-            fabric = self._fabric()
+            fabric = self.nic.fabric
+            faults = fabric.faults
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                slow, extra = yield from self._faulted_prologue(faults)
             peer_nic = fabric.nic_of(self.peer)
             wire = fabric.wire_latency(self.nic.machine, self.peer)
-            slow, extra = self._degrade(self.peer)
-            yield from self._lossy_retx(self.peer)
             half = params.RDMA_READ_LATENCY / 2.0
             yield self.env.timeout((half + wire) * slow + extra)  # request
             if rkey is not None and not peer_nic.mrs.check(rkey, addr, length):
@@ -169,17 +169,14 @@ class RcQp(_QpBase):
                                      peer=self.peer.machine_id, npages=npages)
         try:
             self._check_usable()
-            if not self._local_port_up():
-                self.state = "ERROR"
-                raise ConnectionError_("RCQP on m%d: local port down"
-                                       % self.nic.machine.machine_id)
-            if not self._path_up(self.peer):
-                yield from self._transport_timeout()
-            fabric = self._fabric()
+            fabric = self.nic.fabric
+            faults = fabric.faults
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                slow, extra = yield from self._faulted_prologue(faults)
             peer_nic = fabric.nic_of(self.peer)
             wire = fabric.wire_latency(self.nic.machine, self.peer)
-            slow, extra = self._degrade(self.peer)
-            yield from self._lossy_retx(self.peer)
             half = params.RDMA_READ_LATENCY / 2.0
             length = npages * page_bytes
             # One doorbell: request latency paid once for the whole range.
@@ -212,16 +209,13 @@ class RcQp(_QpBase):
                                      peer=self.peer.machine_id, nbytes=length)
         try:
             self._check_usable()
-            if not self._local_port_up():
-                self.state = "ERROR"
-                raise ConnectionError_("RCQP on m%d: local port down"
-                                       % self.nic.machine.machine_id)
-            if not self._path_up(self.peer):
-                yield from self._transport_timeout()
-            fabric = self._fabric()
+            fabric = self.nic.fabric
+            faults = fabric.faults
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                slow, extra = yield from self._faulted_prologue(faults)
             wire = fabric.wire_latency(self.nic.machine, self.peer)
-            slow, extra = self._degrade(self.peer)
-            yield from self._lossy_retx(self.peer)
             yield from fabric.stream(self.nic, length,  # data leaves our link
                                      dst_machine=self.peer)
             yield self.env.timeout(
@@ -244,6 +238,22 @@ class DcQp(_QpBase):
         super().__init__(nic)
         self._last_target_id = None
 
+    def _faulted_prologue(self, faults, target_machine):
+        """Port, path, degradation and lossy retransmits under an
+        installed injector.  Generator returning ``(slow, extra)``."""
+        src = self.nic.machine.machine_id
+        if not faults.nic_up(src):
+            raise ConnectionError_("DCQP on m%d: local port down" % src)
+        if not faults.path_up(src, target_machine.machine_id):
+            yield self.env.timeout(params.DC_RETRY_TIMEOUT)
+            self.nic.counters.incr("dc_timeouts")
+            raise ConnectionError_(
+                "DC peer m%d unreachable: transport retries exhausted"
+                % target_machine.machine_id)
+        slow_extra = self._degrade(faults, target_machine)
+        yield from self._lossy_retx(faults, target_machine)
+        return slow_extra
+
     def read(self, target_machine, target_id, key, length):
         """One-sided READ via a DC target.
 
@@ -262,20 +272,15 @@ class DcQp(_QpBase):
                                      peer=target_machine.machine_id,
                                      nbytes=length)
         try:
-            fabric = self._fabric()
-            if not self._local_port_up():
-                raise ConnectionError_("DCQP on m%d: local port down"
-                                       % self.nic.machine.machine_id)
-            if not self._path_up(target_machine):
-                yield self.env.timeout(params.DC_RETRY_TIMEOUT)
-                self.nic.counters.incr("dc_timeouts")
-                raise ConnectionError_(
-                    "DC peer m%d unreachable: transport retries exhausted"
-                    % target_machine.machine_id)
+            fabric = self.nic.fabric
+            faults = fabric.faults
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                slow, extra = yield from self._faulted_prologue(
+                    faults, target_machine)
             peer_nic = fabric.nic_of(target_machine)
             wire = fabric.wire_latency(self.nic.machine, target_machine)
-            slow, extra = self._degrade(target_machine)
-            yield from self._lossy_retx(target_machine)
             if target_id != self._last_target_id:
                 if span is not None:
                     span.event("dct_reconnect", target=target_id)
@@ -322,20 +327,15 @@ class DcQp(_QpBase):
                                      peer=target_machine.machine_id,
                                      npages=npages)
         try:
-            fabric = self._fabric()
-            if not self._local_port_up():
-                raise ConnectionError_("DCQP on m%d: local port down"
-                                       % self.nic.machine.machine_id)
-            if not self._path_up(target_machine):
-                yield self.env.timeout(params.DC_RETRY_TIMEOUT)
-                self.nic.counters.incr("dc_timeouts")
-                raise ConnectionError_(
-                    "DC peer m%d unreachable: transport retries exhausted"
-                    % target_machine.machine_id)
+            fabric = self.nic.fabric
+            faults = fabric.faults
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                slow, extra = yield from self._faulted_prologue(
+                    faults, target_machine)
             peer_nic = fabric.nic_of(target_machine)
             wire = fabric.wire_latency(self.nic.machine, target_machine)
-            slow, extra = self._degrade(target_machine)
-            yield from self._lossy_retx(target_machine)
             if target_id != self._last_target_id:
                 if span is not None:
                     span.event("dct_reconnect", target=target_id)
@@ -392,14 +392,16 @@ class UdQp(_QpBase):
                                      peer=target_machine.machine_id,
                                      nbytes=nbytes)
         try:
-            fabric = self._fabric()
+            fabric = self.nic.fabric
             faults = fabric.faults
-            if faults is not None and not faults.nic_up(
-                    self.nic.machine.machine_id):
-                raise ConnectionError_("UD send on m%d: local port down"
-                                       % self.nic.machine.machine_id)
+            if faults is None:
+                slow, extra = 1.0, 0.0
+            else:
+                if not faults.nic_up(self.nic.machine.machine_id):
+                    raise ConnectionError_("UD send on m%d: local port down"
+                                           % self.nic.machine.machine_id)
+                slow, extra = self._degrade(faults, target_machine)
             wire = fabric.wire_latency(self.nic.machine, target_machine)
-            slow, extra = self._degrade(target_machine)
             chunks = max(1, (int(nbytes) + self.MTU - 1) // self.MTU)
             yield from fabric.stream(
                 self.nic, nbytes,

@@ -30,9 +30,11 @@ class Event:
         self._value = _PENDING
         self._ok = None
         self._defused = False
-        #: Optional hook run when a waiter abandons this event (its process
-        #: was interrupted while waiting).  Resource/Store grants use it to
-        #: give their slot/item back instead of leaking it.
+        #: Optional hook, called as ``hook(event)`` when a waiter abandons
+        #: this event (its process was interrupted while waiting).
+        #: Resource/Store grants use it to give their slot/item back
+        #: instead of leaking it.  The hook must not close over the event
+        #: itself: that cycle is freed only by the cyclic GC.
         self._abandon = None
 
     def __repr__(self):
@@ -125,22 +127,6 @@ class Timeout(Event):
     def __repr__(self):
         return "<Timeout delay=%r at %#x>" % (self._delay, id(self))
 
-    def _rearm(self, delay, value):
-        """Re-arm a recycled instance exactly as ``__init__`` would.
-
-        Pool-internal — only :meth:`Environment.timeout` may call this,
-        and only on an instance the run loop proved unreferenced (see the
-        refcount gate in :meth:`Environment.step`), so a settled timeout
-        some process still holds can never be resurrected.
-        """
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._abandon = None
-        self._delay = delay
-        self.env.schedule(self, delay=delay)
-
 
 class Initialize(Event):
     """Internal event used to start a freshly created process."""
@@ -195,7 +181,7 @@ class Process(Event):
             except ValueError:
                 pass
             if target._abandon is not None:
-                target._abandon()
+                target._abandon(target)
             # An abandoned event's failure has no owner anymore; keep it
             # from crashing the run loop as an unhandled failure.
             target.defuse()
@@ -252,11 +238,8 @@ class Process(Event):
                 except BaseException as body_exc:
                     self._settle(False, body_exc)
                 break
-            if target.processed:
-                # Already settled and delivered: loop and feed it straight in.
-                event = target
-                continue
             if target.callbacks is None:
+                # Already settled and delivered: loop and feed it straight in.
                 event = target
                 continue
             target.callbacks.append(self._resume)
@@ -299,13 +282,14 @@ class Condition(Event):
                 event.callbacks.append(self._on_settle)
         # A waiter interrupted mid-condition abandons the whole tree: pass
         # the abandonment down so resource grants / store getters queued
-        # under an AnyOf give their slot back instead of leaking it.
-        self._abandon = self._abandon_constituents
+        # under an AnyOf give their slot back instead of leaking it.  The
+        # plain function, not the bound method, which would be a cycle.
+        self._abandon = Condition._abandon_constituents
 
     def _abandon_constituents(self):
         for event in self._events:
             if not event.processed and event._abandon is not None:
-                event._abandon()
+                event._abandon(event)
 
     def _on_settle(self, event):
         if self.triggered:

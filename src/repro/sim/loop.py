@@ -4,9 +4,9 @@ Simulated time is a float in **microseconds** throughout this project; the
 helpers in :mod:`repro.params` define ``US``/``MS``/``SEC`` multipliers.
 """
 
-import sys
 from heapq import heappop, heappush
 from itertools import count
+from sys import getrefcount
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Process, Timeout
@@ -64,14 +64,25 @@ class Environment:
 
         Reuses a pooled instance when one is free (see :meth:`step`);
         otherwise allocates.  Either way the caller gets a freshly-armed,
-        not-yet-fired timeout.
+        not-yet-fired timeout: a pooled one is reset field by field
+        exactly as ``Timeout.__init__`` would set it, and queued the way
+        :meth:`schedule` would queue it.  Only instances the run loop
+        proved unreferenced enter the pool, so a settled timeout some
+        process still holds is never resurrected.
         """
         pool = self._timeout_pool
         if pool:
             if delay < 0:
                 raise ValueError("negative delay %r" % (delay,))
             timeout = pool.pop()
-            timeout._rearm(delay, value)
+            timeout.callbacks = []
+            timeout._value = value
+            timeout._ok = True
+            timeout._defused = False
+            timeout._abandon = None
+            timeout._delay = delay
+            heappush(self._queue,
+                     (self._now + delay, 1, next(self._eid), timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -134,7 +145,7 @@ class Environment:
         # keeps it out of the pool and settled events are never resurrected.
         if (type(event) is Timeout
                 and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
-                and sys.getrefcount(event) == 2):
+                and getrefcount(event) == 2):
             self._timeout_pool.append(event)
 
     def instrument_step(self, wrap):

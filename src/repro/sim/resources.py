@@ -44,7 +44,7 @@ class Resource:
             grant.succeed(self)
         else:
             self._waiters.append(grant)
-        grant._abandon = lambda: self._abandon_grant(grant)
+        grant._abandon = self._abandon_grant
         return grant
 
     def _abandon_grant(self, grant):
@@ -87,12 +87,17 @@ class Store:
 
     def put(self, item):
         """Deposit ``item``; wakes the oldest blocked getter if any."""
+        if not self._hand_off(item):
+            self._items.append(item)
+
+    def _hand_off(self, item):
+        """Grant ``item`` to the oldest waiting getter; False if none."""
         while self._getters:
             getter = self._getters.popleft()
             if not getter.triggered:  # skip cancelled getters
                 getter.succeed(item)
-                return
-        self._items.append(item)
+                return True
+        return False
 
     def get(self):
         """Return an event that fires with the next item."""
@@ -101,15 +106,17 @@ class Store:
             getter.succeed(self._items.popleft())
         else:
             self._getters.append(getter)
-        getter._abandon = lambda: self._abandon_get(getter)
+        getter._abandon = self._abandon_get
         return getter
 
     def _abandon_get(self, getter):
-        """An interrupted getter returns its item (if granted) to the queue."""
-        if getter.triggered:
-            self._items.appendleft(getter._value)
-        else:
+        """An interrupted getter passes on the item it was granted but
+        never received: to the oldest waiting getter, else back to the
+        front of the queue."""
+        if not getter.triggered:
             self.cancel(getter)
+        elif not self._hand_off(getter._value):
+            self._items.appendleft(getter._value)
 
     def cancel(self, getter):
         """Withdraw a pending getter (it will never fire)."""

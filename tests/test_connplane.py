@@ -25,7 +25,7 @@ from repro.connplane import AdvertCache, AdvertEntry, ConnPlane, QpPool, \
 from repro.fn import FnCluster, MitosisPolicy
 from repro.metrics import CounterSet
 from repro.rdma import ConnectionError_, RdmaFabric
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.workloads import tc0_profile
 
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -306,6 +306,52 @@ class TestQpPool:
         if cluster.machine(0).memory.used:
             pool.invalidate_all()
         assert cluster.machine(0).memory.used == 0
+
+    def _claim(self, pool, peer):
+        """``(process, leases)``: a process waiting on
+        ``pool.acquire(peer)`` that swallows an interrupt, and the list
+        its lease lands in."""
+        leases = []
+
+        def claim():
+            try:
+                leases.append((yield from pool.acquire(peer)))
+            except Interrupt:
+                pass
+
+        return pool.env.process(claim()), leases
+
+    def test_interrupted_queued_miss_is_withdrawn(self):
+        env, cluster, _ = _rig()
+        pool = _pool(env, cluster)
+        _, first = self._claim(pool, cluster.machine(1))
+        env.run(until=1.0)  # first batch mid-creation
+        victim, lost = self._claim(pool, cluster.machine(1))
+        env.run(until=2.0)  # queued for the next batch
+        assert len(pool._demand[1]) == 1
+        victim.interrupt("gone")
+        assert pool._demand[1] == []
+        env.run()
+        assert not lost
+        assert len(pool.entries()) == 1  # no batch created for the victim
+        first[0].release()
+        assert pool.leases_issued == pool.leases_released == 1
+        assert not sanitizers.audit_connplane(_plane_of(pool))
+
+    def test_interrupted_granted_miss_releases_its_lease(self):
+        env, cluster, _ = _rig()
+        pool = _pool(env, cluster)
+        victim, lost = self._claim(pool, cluster.machine(1))
+        env.step()  # the victim starts and waits on its miss grant
+        grant = victim._target
+        while not grant.triggered:
+            env.step()
+        victim.interrupt("gone")  # granted, not yet delivered
+        env.run()
+        assert not lost
+        assert pool.leases_issued == pool.leases_released == 1
+        assert [e.refs for e in pool.entries()] == [0]  # parked warm
+        assert not sanitizers.audit_connplane(_plane_of(pool))
 
     def test_prewarm_leaves_one_warm_qp(self):
         env, cluster, _ = _rig()

@@ -131,6 +131,30 @@ class TestInjector:
         env.run()
         assert len(seen) == 1 and seen[0].machine_id == 1
 
+    def test_crash_interrupts_in_hosting_order(self, rig):
+        # Hosted in the reverse of creation order, so neither creation
+        # order nor object addresses can stand in for hosting order.
+        env, cluster, fabric, injector = rig
+        seen = []
+
+        def victim(tag):
+            try:
+                yield env.timeout(100.0)
+            except Interrupt:
+                seen.append(tag)
+
+        procs = [env.process(victim(tag)) for tag in range(24)]
+        for tag in reversed(range(24)):
+            injector.host_process(1, procs[tag])
+
+        def driver():
+            yield env.timeout(1.0)
+            injector.crash_machine(1)
+
+        env.process(driver())
+        env.run()
+        assert seen == list(reversed(range(24)))
+
     def test_ud_drops_are_deterministic(self):
         def outcomes(seed):
             env = Environment()
@@ -382,6 +406,87 @@ class TestAbandonedWaiters:
         env.process(driver())
         env.run()
         assert got == ["interrupted", "x"]
+
+    def test_granted_undelivered_slot_passes_to_next_waiter(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        order = []
+
+        def waiter(tag):
+            try:
+                yield res.acquire()
+            except Interrupt:
+                order.append(tag + " interrupted")
+                return
+            order.append(tag)
+            yield env.timeout(1.0)
+            res.release()
+
+        def holder():
+            yield res.acquire()
+            yield env.timeout(10.0)
+            res.release()  # grants the slot to the victim ...
+            victim.interrupt("die")  # ... who dies before resuming
+
+        env.process(holder())
+        victim = env.process(waiter("a"))
+        env.process(waiter("b"))
+        env.run()
+        assert order == ["a interrupted", "b"]
+        assert res.in_use == 0 and res.queued == 0
+
+    def test_granted_undelivered_item_passes_to_next_getter(self):
+        env = Environment()
+        store = Store(env)
+        got = []
+
+        def getter(tag):
+            try:
+                item = yield store.get()
+            except Interrupt:
+                got.append(tag + " interrupted")
+                return
+            got.append((tag, item))
+
+        victim = env.process(getter("a"))
+        env.process(getter("b"))
+
+        def driver():
+            yield env.timeout(1.0)
+            store.put("x")  # grants x to the victim ...
+            victim.interrupt("die")  # ... who dies before resuming
+
+        env.process(driver())
+        env.run()
+        assert got == ["a interrupted", ("b", "x")]
+        assert len(store) == 0
+
+    def test_granted_undelivered_item_returns_to_front(self):
+        env = Environment()
+        store = Store(env)
+        store.put("x")
+        store.put("y")
+        got = []
+
+        def getter(tag):
+            try:
+                item = yield store.get()
+            except Interrupt:
+                got.append(tag + " interrupted")
+                return
+            got.append((tag, item))
+
+        victim = env.process(getter("a"))  # granted x at once ...
+
+        def driver():
+            victim.interrupt("die")  # ... and dies before resuming
+            yield env.timeout(1.0)
+            yield env.process(getter("b"))
+
+        env.process(driver())
+        env.run()
+        assert got == ["a interrupted", ("b", "x")]
+        assert len(store) == 1
 
 
 # --- QP error semantics ------------------------------------------------------------

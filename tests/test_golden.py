@@ -7,6 +7,15 @@ Three small MITOSIS rigs run with every opt-in layer off:
 * ``chains`` — 16 three-hop ``fork_prepare``/``fork_resume`` chains on
   8 invokers, each tail reading every hop's payload back.
 
+Two more arm layers programmatically, so the code that runs only when
+a layer is armed is pinned too:
+
+* ``fork_burst_rc`` — the 48-fork burst over RC with the connection
+  plane armed;
+* ``spike_faults`` — the spike with resilience and fault injection
+  armed, under a lossy link, a slow NIC, a NIC flap and a crash of the
+  second invoker during the second burst.
+
 Each rig pins ``events_processed``, the final ``env.now``, a sha256
 over its per-invocation (or per-hop) record tuples, a rolling sha256
 over ``(when, event type)`` of every processed event and a sha256 over
@@ -18,6 +27,7 @@ rewriting the files is the explicit step
 it must say why in CHANGES.md.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +35,7 @@ import os
 import pytest
 
 from repro import params
+from repro.faults import LossyLink, MachineCrash, NicFlap, SlowNic
 from repro.fn import FnCluster, MitosisPolicy
 from repro.kernel import VmaKind
 from repro.workloads import execute, tc0_profile
@@ -82,27 +93,33 @@ def _hash_snapshots(deployment, digest):
         node.service.publish = wrap(node.service.publish)
 
 
-def _cluster(invokers, machines, steps, snapshots):
+def _cluster(invokers, machines, steps, snapshots, arm=None,
+             transport="dct"):
     """A MITOSIS FnCluster with TC0 registered (seed provisioned).
 
     With ``steps`` (a sha256 object) every processed event, provisioning
     included, feeds it (:func:`_hash_steps`); with ``snapshots`` every
-    published descriptor does (:func:`_hash_snapshots`).
+    published descriptor does (:func:`_hash_snapshots`).  ``arm(fn)``,
+    if given, runs before registration (the ``enable_*`` calls).
     """
     fn = FnCluster(MitosisPolicy(), num_invokers=invokers,
-                   num_machines=machines, num_dfs_osds=2, seed=0)
+                   num_machines=machines, num_dfs_osds=2, seed=0,
+                   transport=transport)
     if steps is not None:
         _hash_steps(fn.env, steps)
     if snapshots is not None:
         _hash_snapshots(fn.deployment, snapshots)
+    if arm is not None:
+        arm(fn)
     profile = tc0_profile()
     fn.env.run(fn.env.process(fn.register(profile)))
     return fn, profile
 
 
-def _open_loop(fn, profile, due_times):
-    """Submit one TC0 invocation at each due time, run dry, and return
-    one record tuple per submission, in submission order."""
+def _open_loop(fn, profile, due_times, horizon=None):
+    """Submit one TC0 invocation at each due time, run dry (or for
+    ``horizon`` when background daemons never let the queue dry), and
+    return one record tuple per submission, in submission order."""
     env = fn.env
     start = env.now
     procs = []
@@ -115,7 +132,7 @@ def _open_loop(fn, profile, due_times):
             procs.append(fn.submit(profile.name))
 
     env.process(submitter())
-    env.run()
+    env.run(None if horizon is None else start + horizon)
     records = []
     for index, proc in enumerate(procs):
         r = proc.value
@@ -192,19 +209,57 @@ def _run_chains(fn, profile):
     return [record for chain in chains for record in chain]
 
 
+#: Due times of the fork burst: 48 forks within 1 ms.
+BURST_DUE = [i * 20.0 * params.US for i in range(48)]
+#: Due times of the spike: two bursts of 80, 200 ms apart.
+SPIKE_DUE = ([i * 10.0 * params.US for i in range(80)]
+             + [200.0 * params.MS + i * 10.0 * params.US for i in range(80)])
+#: The spike_faults schedule, relative to set-up end.  The seed runs on
+#: m0, the other invoker on m1; m1 crashes during the second burst.
+SPIKE_FAULTS = [
+    LossyLink(0.0, 0, 1, drop_rate=0.2, extra_latency=1.0,
+              down_for=50.0 * params.MS),
+    SlowNic(0.1 * params.MS, 0, factor=3.0, down_for=20.0 * params.MS),
+    NicFlap(30.0 * params.MS, 0, down_for=5.0 * params.MS),
+    MachineCrash(210.0 * params.MS, 1, down_for=50.0 * params.MS),
+]
+
+
+def _arm_connplane(fn):
+    fn.enable_connplane()
+
+
+def _arm_faults(fn):
+    fn.enable_resilience()
+    fn.enable_faults()
+
+
 def fork_burst(steps=None, snapshots=None):
     """48 TC0 forks due within 1 ms on 8 invokers."""
     fn, profile = _cluster(8, 11, steps, snapshots)
-    return fn, _open_loop(fn, profile,
-                          [i * 20.0 * params.US for i in range(48)])
+    return fn, _open_loop(fn, profile, BURST_DUE)
+
+
+def fork_burst_rc(steps=None, snapshots=None):
+    """The fork burst over RC, with the connection plane armed."""
+    fn, profile = _cluster(8, 11, steps, snapshots, arm=_arm_connplane,
+                           transport="rc")
+    return fn, _open_loop(fn, profile, BURST_DUE)
 
 
 def spike(steps=None, snapshots=None):
     """Two bursts of 80 invocations, 200 ms apart, into 2 invokers."""
     fn, profile = _cluster(2, 5, steps, snapshots)
-    burst = [i * 10.0 * params.US for i in range(80)]
-    return fn, _open_loop(fn, profile,
-                          burst + [200.0 * params.MS + t for t in burst])
+    return fn, _open_loop(fn, profile, SPIKE_DUE)
+
+
+def spike_faults(steps=None, snapshots=None):
+    """The spike with resilience and faults armed, under
+    :data:`SPIKE_FAULTS`; runs 2 s past set-up, since the health
+    monitor never lets the queue dry."""
+    fn, profile = _cluster(2, 5, steps, snapshots, arm=_arm_faults)
+    fn.faults.apply(SPIKE_FAULTS)
+    return fn, _open_loop(fn, profile, SPIKE_DUE, horizon=2.0 * params.SEC)
 
 
 def chains(steps=None, snapshots=None):
@@ -213,7 +268,8 @@ def chains(steps=None, snapshots=None):
     return fn, _run_chains(fn, profile)
 
 
-RIGS = {"fork_burst": fork_burst, "spike": spike, "chains": chains}
+RIGS = {"fork_burst": fork_burst, "fork_burst_rc": fork_burst_rc,
+        "spike": spike, "spike_faults": spike_faults, "chains": chains}
 
 
 def golden_path(name):
@@ -250,6 +306,19 @@ def test_default_path_matches_golden(name, default_path):
     with open(golden_path(name)) as handle:
         golden = json.load(handle)
     assert measure(name) == golden
+
+
+@pytest.mark.parametrize("name", ["chains", "fork_burst", "spike"])
+def test_default_path_creates_no_cyclic_garbage(name, default_path):
+    """Every object a default-path rig drops is freed by refcounting,
+    so the cyclic collector never has to run on its account."""
+    gc.collect()
+    gc.disable()
+    try:
+        rig = RIGS[name]()  # referenced across the collection
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chains_read_back_every_payload(default_path):

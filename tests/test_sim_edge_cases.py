@@ -1,5 +1,7 @@
 """Edge-case coverage for the simulation kernel and RDMA details."""
 
+import gc
+
 import pytest
 
 from repro import params
@@ -11,8 +13,11 @@ from repro.sim import (
     EmptySchedule,
     Environment,
     Event,
+    Interrupt,
+    Resource,
     SimulationError,
     Store,
+    Timeout,
 )
 from repro.sim.scheduler import default_scheduler_name
 
@@ -597,6 +602,34 @@ class TestTimeoutPooling:
         assert witness.processed  # still the same dead event
         assert witness.callbacks is None
 
+    def test_rearmed_timeout_matches_a_fresh_one(self):
+        env = Environment()
+
+        def sleeper():
+            try:
+                yield env.timeout(5.0)
+            except Interrupt:
+                pass
+
+        victim = env.process(sleeper())
+
+        def killer():
+            yield env.timeout(1.0)
+            victim.interrupt()
+
+        env.process(killer())
+        env.run()
+        # The abandoned timeout was defused, then fired unobserved.
+        assert any(t._defused for t in env._timeout_pool)
+        rearmed = [env.timeout(2.0, value="v")
+                   for _ in range(len(env._timeout_pool))]
+        fresh = Timeout(env, 2.0, value="v")
+        fields = ("callbacks", "_value", "_ok", "_defused", "_abandon",
+                  "_delay")
+        for timeout in rearmed:
+            assert ([getattr(timeout, f) for f in fields]
+                    == [getattr(fresh, f) for f in fields])
+
     def test_negative_delay_rejected_even_from_pool(self):
         env = Environment()
         run(env, (env.timeout(1.0) for _ in range(2)))
@@ -615,3 +648,51 @@ class TestTimeoutPooling:
 
         run(env, spray())
         assert len(env._timeout_pool) <= loop._TIMEOUT_POOL_MAX
+
+
+class TestAbandonHooksLeaveNoCycles:
+    """An ``_abandon`` hook never closes over its own event, so grants,
+    getters and conditions are freed by refcounting alone."""
+
+    def test_hooked_events_need_no_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            env = Environment()
+            res = Resource(env, capacity=1)
+            store = Store(env)
+
+            def user():
+                yield res.acquire() & env.timeout(1.0)
+                yield store.get() | env.timeout(50.0)
+                res.release()
+
+            def victim(wait):
+                yield env.timeout(0.05)
+                try:
+                    yield wait()  # queued behind the users
+                except Interrupt:
+                    pass
+
+            def producer():
+                for item in range(4):
+                    yield env.timeout(0.5)
+                    store.put(item)
+
+            users = [env.process(user()) for _ in range(4)]
+            doomed = [env.process(victim(res.acquire)),
+                      env.process(victim(store.get))]
+            env.process(producer())
+
+            def killer():
+                yield env.timeout(0.1)
+                for proc in doomed:
+                    proc.interrupt()
+
+            env.process(killer())
+            env.run()
+            assert all(proc.ok for proc in users)
+            assert res.in_use == 0 and len(store) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
