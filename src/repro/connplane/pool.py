@@ -148,15 +148,21 @@ class QpPool:
         return grant
 
     def _abandon_grant(self, peer_id, grant):
-        """A queued miss was interrupted: withdraw it, or release the
-        lease it was granted but will never see (mirrors Resource)."""
+        """A miss was interrupted: withdraw it, or release the lease it
+        was granted but will never see (mirrors Resource).
+
+        A queued grant leaves ``_demand``.  A grant whose batch is being
+        created is settled empty, so its creator parks the QP warm.
+        """
         if grant.triggered:
             if grant._ok:
                 grant._value.release()
-        else:
-            queue = self._demand.get(peer_id)
-            if queue is not None and grant in queue:
-                queue.remove(grant)
+            return
+        queue = self._demand.get(peer_id)
+        if queue is not None and grant in queue:
+            queue.remove(grant)
+        elif grant in self._inflight.get(peer_id, ()):
+            grant.succeed()
 
     def _creator(self, peer_machine):
         """Drain queued misses toward one peer in batched factory passes."""

@@ -448,10 +448,9 @@ class Mitosis:
         if lease_daemon:
             self.start_lease_daemon()
 
-    def enable_resilience(self, breakers=True, hedging=True):
+    def enable_resilience(self):
         """Arm this node's pager with breakers + hedged reads."""
-        return self.pager.enable_resilience(breakers=breakers,
-                                            hedging=hedging)
+        return self.pager.enable_resilience()
 
     def _on_machine_crash(self):
         """Fail-stop: all volatile MITOSIS state on this machine dies."""
@@ -592,11 +591,11 @@ class MitosisDeployment:
             node.connect_faults(injector, leases=leases,
                                 lease_daemon=lease_daemons)
 
-    def enable_resilience(self, breakers=True, hedging=True):
+    def enable_resilience(self):
         """Arm every deployed node's pager (see
         :meth:`Mitosis.enable_resilience`)."""
         for node in self._nodes.values():
-            node.enable_resilience(breakers=breakers, hedging=hedging)
+            node.enable_resilience()
 
     def stop_fault_daemons(self):
         """Stop every node's lease-renewal daemon so the event loop can

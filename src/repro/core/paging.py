@@ -12,15 +12,16 @@ On a remote-bit page fault the pager:
    reclaimed pages in that VMA), **passively detects** the revocation and
    falls back to an RPC served by the owner's fallback daemon.
 
-With batching enabled (``batch_pages`` > 1, the paper's doorbell
-optimization from §4.1) demand faults additionally *fault around*: the
-pager sizes a contiguous run of eligible remote PTEs and pulls the whole
-range with one doorbelled READ — one request packet plus per-page
-payloads — installing every page of the run in bulk.  Prefetch windows
-coalesce into the same range path.  Batching is purely a wire-level
-optimization: sharing, coalescing, hedging, breakers, and every fallback
-compose with ranges, and any wire-level failure degrades the range to
-the exact page-at-a-time path the unbatched design takes.
+Every wire fetch is a *run* of contiguous pages pulled with one READ;
+without batching a run is the faulting page alone.  With batching
+(``batch_pages`` > 1, the paper's doorbell optimization from §4.1) a
+demand fault additionally *faults around*: the pager sizes a contiguous
+run of eligible remote PTEs and pulls it with one doorbelled READ — one
+request packet plus per-page payloads — installing every page of the
+run.  Prefetch windows ride the same runs.  Sharing, coalescing,
+hedging, breakers, and every fallback apply to a run as to one page,
+and a run whose READ fails degrades to runs of one, each taking the
+exact fallback a single fault takes.
 """
 
 import os
@@ -50,17 +51,15 @@ def default_batch_pages():
 class PagerResilience:
     """Per-pager gray-failure defenses: fallback breakers + read hedging."""
 
-    def __init__(self, breakers=True, hedging=True):
+    def __init__(self):
         #: owner machine_id -> CircuitBreaker guarding the RPC fallback
-        #: path to that peer (None when breakers are disabled).
-        self.breakers = {} if breakers else None
-        #: Latency window driving the hedge delay (None disables hedging).
-        self.hedge = HedgeTracker() if hedging else None
+        #: path to that peer.
+        self.breakers = {}
+        #: Latency window driving the hedge delay.
+        self.hedge = HedgeTracker()
 
     def breaker_for(self, machine_id):
-        """The (lazily created) breaker for one owner machine, or None."""
-        if self.breakers is None:
-            return None
+        """The (lazily created) breaker for one owner machine."""
         breaker = self.breakers.get(machine_id)
         if breaker is None:
             breaker = CircuitBreaker("pager-fallback-m%d" % machine_id)
@@ -168,11 +167,10 @@ class RemotePager:
         #: flies and the rest reuse the arriving frame.
         self._inflight = {}
 
-    def enable_resilience(self, breakers=True, hedging=True):
+    def enable_resilience(self):
         """Arm the gray-failure defenses on this pager; returns them."""
         if self.resilience is None:
-            self.resilience = PagerResilience(breakers=breakers,
-                                              hedging=hedging)
+            self.resilience = PagerResilience()
         return self.resilience
 
     # --- Fault entry points ------------------------------------------------------
@@ -278,82 +276,118 @@ class RemotePager:
             self._inflight[key] = fetch_done
         try:
             content = yield from self._fetch_remote(
-                task, vma, vpn, pte, owner_machine, owner_desc)
+                task, vma, vpn, (pte,), owner_machine, owner_desc)
         finally:
             if fetch_done is not None:
                 self._inflight.pop(key, None)
                 fetch_done.succeed()
         return content
 
-    def _fetch_remote(self, task, vma, vpn, pte, owner_machine, owner_desc):
-        """The actual wire fetch: one-sided RDMA, else the RPC fallback."""
-        kernel = task.kernel
+    # reprolint: hot-path
+    def _fetch_remote(self, task, vma, vpn, ptes, owner_machine, owner_desc):
+        """The wire fetch of the run ``ptes`` (contiguous pages from
+        ``vpn``, marked in flight by the caller): one one-sided READ, else
+        the RPC fallback.  Generator returning the first page's content.
 
+        A run of one is a single fault, which counts why it fell back:
+        a NAK (revocation), a transport timeout (dead parent) or a frame
+        that vanished mid-transfer (race).  One NAK or timeout answers for
+        a whole longer run — the same target covers every page behind it —
+        so such a run degrades page by page, each page a run of one that
+        re-detects its own reason.
+        """
+        n = len(ptes)
         vd = owner_desc.find_vma(vpn)
-        if vd is None or vd.dct_target_id is None:
-            content = yield from self.fetch_fallback(task, vma, vpn, pte)
-            self._install(task, kernel, pte, vma, content, owner_desc.uid, vpn)
-            return content
-
-        rcqp = self._rc_override(task, owner_machine)
-        try:
-            if rcqp is not None:
-                # Ablation mode: RC transport without connection-based
-                # access control (the "base" design of Fig. 15 b).
-                yield from rcqp.read(params.PAGE_SIZE)
-            elif (self.resilience is not None
-                    and self.resilience.hedge is not None):
-                winner = yield from self._hedged_read(
-                    owner_machine, vd, owner_desc=owner_desc, vpn=vpn)
-                if winner is not None:
-                    # A rack-local replica leg won the hedge: resolve
-                    # the page against the host that actually served it.
-                    owner_machine, owner_desc = winner
+        reason = None
+        if vd is not None and vd.dct_target_id is not None:
+            rcqp = self._rc_override(task, owner_machine)
+            try:
+                if rcqp is not None:
+                    # Ablation mode: RC transport without connection-based
+                    # access control (the "base" design of Fig. 15 b).
+                    yield from rcqp.read_batch(n, params.PAGE_SIZE)
+                elif self.resilience is not None:
+                    winner = yield from self._hedged_read(
+                        owner_machine, owner_desc, vd, vpn, n)
+                    if winner is not None:
+                        # A rack-local replica leg won the hedge: resolve
+                        # the page against the host that actually served it.
+                        owner_machine, owner_desc = winner
+                else:
+                    dcqp = self.net_daemon.dcqp()
+                    yield from dcqp.read_batch(owner_machine, vd.dct_target_id,
+                                               vd.dct_key, n, params.PAGE_SIZE)
+            except RemoteAccessError:
+                # Passive detection: the parent revoked this VMA's target.
+                reason = "revocation_fallback"
+            except ConnectionError_:
+                # Unlike a NAK, a transport timeout means the owner may be
+                # *dead*, not revoking — still try the fallback daemon (the
+                # owner may come back, or an elder may answer), but count
+                # it separately so recovery metrics can tell the two apart.
+                reason = "dead_parent_fallback"
             else:
-                dcqp = self.net_daemon.dcqp()
-                yield from dcqp.read(owner_machine, vd.dct_target_id,
-                                     vd.dct_key, params.PAGE_SIZE)
-        except RemoteAccessError:
-            # Passive detection: the parent revoked this VMA's target.
-            self.counters.incr("revocation_fallbacks")
-            tracer = self.env.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.annotate("revocation_fallback", vpn=vpn)
-            content = yield from self.fetch_fallback(task, vma, vpn, pte)
-            self._install(task, kernel, pte, vma, content, owner_desc.uid, vpn)
-            return content
-        except ConnectionError_:
-            # Unlike a NAK, a transport timeout means the owner may be
-            # *dead*, not revoking — still try the fallback daemon (the
-            # owner may come back, or an elder may answer), but count it
-            # separately so recovery metrics can tell the two apart.
-            self.counters.incr("dead_parent_fallbacks")
-            if self.connplane is not None:
-                # A transport timeout is the plane's earliest dead-peer
-                # signal: junk every pooled QP toward the owner now rather
-                # than letting later acquires rediscover it one by one.
-                self.connplane.on_peer_dead(self.machine,
-                                            owner_machine.machine_id)
-            tracer = self.env.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.annotate("dead_parent_fallback", vpn=vpn)
-            content = yield from self.fetch_fallback(task, vma, vpn, pte)
-            self._install(task, kernel, pte, vma, content, owner_desc.uid, vpn)
-            return content
+                if n > 1:
+                    self.counters.incr("batched_reads")
+                    self.counters.incr("batched_read_pages", n)
+                first = None
+                page = vpn
+                for pte in ptes:
+                    content = self._resolve_content(owner_machine, owner_desc,
+                                                    page)
+                    if content is None:
+                        # The frame vanished mid-transfer (reclaim raced
+                        # the read): treat exactly like a NAK, for this
+                        # page alone.
+                        self._count_fallback("race_fallback", page)
+                        content = yield from self.fetch_fallback(
+                            task, vma, page, pte)
+                    else:
+                        self.counters.incr("rdma_reads")
+                    self._install(task, pte, vma, content, owner_desc.uid,
+                                  page)
+                    if page == vpn:
+                        first = content
+                    page += 1
+                return first
 
-        content = self._resolve_content(owner_machine, owner_desc, vpn)
-        if content is None:
-            # The frame vanished mid-transfer (reclaim raced the read):
-            # treat exactly like a NAK and take the fallback path.
-            self.counters.incr("race_fallbacks")
-            tracer = self.env.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.annotate("race_fallback", vpn=vpn)
-            content = yield from self.fetch_fallback(task, vma, vpn, pte)
-        else:
-            self.counters.incr("rdma_reads")
-        self._install(task, kernel, pte, vma, content, owner_desc.uid, vpn)
+        # No direct target, or the READ failed: a longer run goes page by
+        # page, a run of one to the RPC fallback.
+        if n > 1:
+            if reason is not None:
+                self.counters.incr("batch_fallbacks")
+            first = None
+            page = vpn
+            for pte in ptes:
+                if pte.present:
+                    content = pte.frame.content
+                else:
+                    content = yield from self._fetch_remote(
+                        task, vma, page, (pte,), owner_machine, owner_desc)
+                if page == vpn:
+                    first = content
+                page += 1
+            return first
+
+        pte = ptes[0]
+        if reason is not None:
+            self._count_fallback(reason, vpn)
+        if reason == "dead_parent_fallback" and self.connplane is not None:
+            # A transport timeout is the plane's earliest dead-peer signal:
+            # junk every pooled QP toward the owner now rather than letting
+            # later acquires rediscover it one by one.
+            self.connplane.on_peer_dead(self.machine, owner_machine.machine_id)
+        content = yield from self.fetch_fallback(task, vma, vpn, pte)
+        self._install(task, pte, vma, content, owner_desc.uid, vpn)
         return content
+
+    def _count_fallback(self, reason, vpn):
+        """Count ``reason + "s"`` and annotate ``reason``: one page fell
+        back to the RPC path."""
+        self.counters.incr(reason + "s")
+        tracer = self.env.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.annotate(reason, vpn=vpn)
 
     # reprolint: hot-path
     def fetch_range(self, task, vma, vpn, n, _demand=True):
@@ -362,7 +396,7 @@ class RemotePager:
         Generator returning the content of the first page (the faulting
         one for demand entry).  The whole run is marked in-flight so
         concurrent faulters of *any* page in it coalesce onto this fetch,
-        every page is installed (and its remote bit cleared) in bulk, and
+        every page is installed (and its remote bit cleared), and
         counters are charged per page.  The caller must have screened the
         run with :meth:`_range_len` in the same step (no yields between).
         """
@@ -377,9 +411,8 @@ class RemotePager:
                                      machine=self.machine.machine_id)
         try:
             table = task.address_space.page_table
-            first_pte = table.entry(vpn)
-            owner_machine, owner_desc = self._owner_of(task, first_pte)
             ptes = [table.entry(vpn + i) for i in range(n)]
+            owner_machine, owner_desc = self._owner_of(task, ptes[0])
             keys = [(owner_desc.uid, vpn + i) for i in range(n)]
             fetch_done = None
             if self.enable_sharing:
@@ -387,8 +420,8 @@ class RemotePager:
                 for key in keys:
                     self._inflight[key] = fetch_done
             try:
-                contents = yield from self._range_remote(
-                    task, vma, vpn, n, ptes, owner_machine, owner_desc)
+                content = yield from self._fetch_remote(
+                    task, vma, vpn, ptes, owner_machine, owner_desc)
             finally:
                 if fetch_done is not None:
                     for key in keys:
@@ -396,7 +429,7 @@ class RemotePager:
                     fetch_done.succeed()
             if _demand:
                 self.counters.incr("fault_around_pages", n - 1)
-            return contents[0]
+            return content
         finally:
             if span is not None:
                 span.end()
@@ -436,122 +469,42 @@ class RemotePager:
             n += 1
         return n
 
-    # reprolint: hot-path
-    def _range_remote(self, task, vma, vpn, n, ptes, owner_machine,
-                      owner_desc):
-        """The wire fetch for a range: one doorbelled QP op, bulk install.
-
-        Any wire-level failure (batch NAK, transport timeout, no direct
-        target) degrades the WHOLE range to the page-at-a-time path,
-        which re-detects the precise per-page condition and takes exactly
-        the fallback the unbatched design would.
-        """
-        kernel = task.kernel
-        vd = owner_desc.find_vma(vpn)
-        if vd is None or vd.dct_target_id is None:
-            return (yield from self._range_per_page(
-                task, vma, vpn, ptes, owner_machine, owner_desc))
-        rcqp = self._rc_override(task, owner_machine)
-        try:
-            if rcqp is not None:
-                yield from rcqp.read_batch(n, params.PAGE_SIZE)
-            elif (self.resilience is not None
-                    and self.resilience.hedge is not None):
-                yield from self._hedged_read(owner_machine, vd, npages=n)
-            else:
-                dcqp = self.net_daemon.dcqp()
-                yield from dcqp.read_batch(owner_machine, vd.dct_target_id,
-                                           vd.dct_key, n, params.PAGE_SIZE)
-        except (RemoteAccessError, ConnectionError_):
-            # One NAK (or transport timeout) answers for the whole batch —
-            # same target covers every page behind it.  Degrade to the
-            # unbatched path; it re-raises per page and counts the precise
-            # revocation/dead-parent fallback reason, as the seed would.
-            self.counters.incr("batch_fallbacks")
-            return (yield from self._range_per_page(
-                task, vma, vpn, ptes, owner_machine, owner_desc))
-        self.counters.incr("batched_reads")
-        self.counters.incr("batched_read_pages", n)
-        contents = []
-        for i, pte in enumerate(ptes):
-            content = self._resolve_content(owner_machine, owner_desc,
-                                            vpn + i)
-            if content is None:
-                # This one frame vanished mid-transfer: partial failure,
-                # repair just this page over RPC.
-                self.counters.incr("race_fallbacks")
-                content = yield from self.fetch_fallback(task, vma, vpn + i,
-                                                         pte)
-            else:
-                self.counters.incr("rdma_reads")
-            self._install(task, kernel, pte, vma, content, owner_desc.uid,
-                          vpn + i)
-            if pte.present:
-                pte.clear_remote()
-            contents.append(content)
-        return contents
-
-    def _range_per_page(self, task, vma, vpn, ptes, owner_machine,
-                        owner_desc):
-        """Page-at-a-time completion of a range whose batched read failed:
-        each page pays the exact unbatched wire path with its own precise
-        fallback handling.  Generator returning the contents list."""
-        contents = []
-        for i, pte in enumerate(ptes):
-            if pte.present:
-                contents.append(pte.frame.content)
-                continue
-            content = yield from self._fetch_remote(
-                task, vma, vpn + i, pte, owner_machine, owner_desc)
-            if pte.present:
-                pte.clear_remote()
-            contents.append(content)
-        return contents
-
-    def _hedged_read(self, owner_machine, vd, npages=1, owner_desc=None,
-                     vpn=None):
-        """One-sided READ with request cloning.  Generator.
+    def _hedged_read(self, owner_machine, owner_desc, vd, vpn, npages):
+        """One-sided READ of a run of ``npages`` with request cloning.
+        Generator.
 
         Start the primary DCT read; once it has straggled past the
         tracker's tail-derived delay, clone the request onto a second DC
         path.  First completion wins, the straggler is cancelled, and
         exactly one caller resumes with the result — so the single
-        ``_install`` downstream can never double-commit the page.
-
-        With ``npages`` > 1 each leg is one doorbelled range READ; the
+        install pass downstream can never double-commit a page.  The
         tracker records per-page latency and the hedge delay scales by
-        the batch size, so batched and unbatched reads share one
-        straggler model.
+        the run length, so runs of every length share one straggler
+        model.
 
         Topology-aware hedging: when the shared-fabric layer and seed
         lineage are both armed and the primary owner sits across the
-        spine, a single-page hedge leg prefers a *rack-local* replica
-        over cloning onto the same congested cross-rack path.  Returns
-        the ``(machine, descriptor)`` the winning alternate served from
-        — the caller must resolve content against it — or None when the
-        primary owner answered (including every pre-fabric behaviour).
+        spine, the hedge leg of a run of one prefers a *rack-local*
+        replica over cloning onto the same congested cross-rack path.
+        Returns the ``(machine, descriptor)`` the winning alternate served
+        from — the caller must resolve content against it — or None when
+        the primary owner answered (including every pre-fabric behaviour).
         """
         res = self.resilience
         started = self.env.now
         alternate = None
-        if npages == 1 and owner_desc is not None and vpn is not None:
+        if npages == 1:
             alternate = self._rack_local_alternate(owner_machine,
                                                    owner_desc, vpn)
 
         def _leg(machine, leg_vd):
             dcqp = self.net_daemon.dcqp()
             try:
-                if npages > 1:
-                    result = yield from dcqp.read_batch(
-                        machine, leg_vd.dct_target_id, leg_vd.dct_key,
-                        npages, params.PAGE_SIZE)
-                else:
-                    result = yield from dcqp.read(
-                        machine, leg_vd.dct_target_id, leg_vd.dct_key,
-                        params.PAGE_SIZE)
+                return (yield from dcqp.read_batch(
+                    machine, leg_vd.dct_target_id, leg_vd.dct_key, npages,
+                    params.PAGE_SIZE))
             except Interrupt:
                 return None  # cancelled straggler
-            return result
 
         primary = self.env.process(_leg(owner_machine, vd))
         timer = self.env.timeout(res.hedge.delay() * npages)
@@ -645,8 +598,16 @@ class RemotePager:
             proc.interrupt("hedge loser cancelled")
         proc.defuse()
 
+    # reprolint: hot-path
     def _prefetch_window(self, task, vma, vpn):
-        """Asynchronously fetch the next pages of the VMA (extension)."""
+        """Asynchronously fetch the next pages of the VMA (extension).
+
+        The window is carved into contiguous eligible runs, each fetched
+        as a demand fault would fetch it (a run of one without batching).
+        Pages another fetch already has in flight are simply skipped —
+        prefetch is best-effort, so waiting on a coalesced fault would
+        only serialize the window behind it.
+        """
         tracer = self.env.tracer
         span = None
         if tracer is not None and tracer.enabled:
@@ -657,83 +618,45 @@ class RemotePager:
                                      vpn=vpn,
                                      machine=self.machine.machine_id)
         try:
-            yield from self._prefetch_body(task, vma, vpn)
-        finally:
-            if span is not None:
-                span.end()
-
-    def _prefetch_body(self, task, vma, vpn):
-        if self.batch_pages > 1:
-            yield from self._prefetch_window_ranges(task, vma, vpn)
-            return
-        table = task.address_space.page_table
-        for next_vpn in range(vpn + 1,
-                              min(vpn + 1 + self.prefetch_depth,
-                                  vma.end_vpn)):
-            pte = table.entry(next_vpn)
-            if (pte is None or pte.present or not pte.remote
-                    or pte.remote_pfn is None):
-                continue
-            if self.deployment.fabric.net is not None:
-                owner_machine, _desc = self._owner_of(task, pte)
+            table = task.address_space.page_table
+            end = min(vpn + 1 + self.prefetch_depth, vma.end_vpn)
+            next_vpn = vpn + 1
+            while next_vpn < end:
+                pte = table.entry(next_vpn)
+                if (pte is None or pte.present or not pte.remote
+                        or pte.remote_pfn is None):
+                    next_vpn += 1
+                    continue
+                owner_machine, owner_desc = self._owner_of(task, pte)
+                if (owner_desc.uid, next_vpn) in self._inflight:
+                    next_vpn += 1
+                    continue
                 if self._fabric_hot(owner_machine):
                     # Shed the rest of the window: prefetch is the first
                     # load an incast-congested seed NIC can do without.
                     self.counters.incr("fabric_deferred_prefetch")
                     return
-            try:
-                yield from self.fetch(task, vma, next_vpn, pte,
-                                      _demand=False)
-            except Exception:
-                return  # prefetch is best-effort; demand faults recover
-            if pte.present:
-                pte.clear_remote()
-                self.counters.incr("prefetched_pages")
-
-    # reprolint: hot-path
-    def _prefetch_window_ranges(self, task, vma, vpn):
-        """Range-coalesced prefetch window (batched mode).
-
-        Instead of one full RDMA round trip per window page, the window is
-        carved into contiguous eligible runs and each run rides one
-        doorbelled range READ.  Pages another fetch already has in flight
-        are simply skipped — prefetch is best-effort, so waiting on a
-        coalesced fault would only serialize the window behind it.
-        """
-        table = task.address_space.page_table
-        end = min(vpn + 1 + self.prefetch_depth, vma.end_vpn)
-        next_vpn = vpn + 1
-        while next_vpn < end:
-            pte = table.entry(next_vpn)
-            if (pte is None or pte.present or not pte.remote
-                    or pte.remote_pfn is None):
-                next_vpn += 1
-                continue
-            owner_machine, owner_desc = self._owner_of(task, pte)
-            if (owner_desc.uid, next_vpn) in self._inflight:
-                next_vpn += 1
-                continue
-            if self._fabric_hot(owner_machine):
-                self.counters.incr("fabric_deferred_prefetch")
-                return
-            run = self._range_len(task, vma, next_vpn, pte, owner_desc,
-                                  limit=end - next_vpn)
-            try:
-                if run > 1:
-                    yield from self.fetch_range(task, vma, next_vpn, run,
-                                                _demand=False)
-                else:
-                    yield from self.fetch(task, vma, next_vpn, pte,
-                                          _demand=False)
-            except Exception:
-                return  # prefetch is best-effort; demand faults recover
-            for i in range(run):
-                fetched = table.entry(next_vpn + i)
-                if fetched is not None and fetched.present:
-                    if fetched.remote:
-                        fetched.clear_remote()
-                    self.counters.incr("prefetched_pages")
-            next_vpn += run
+                run = self._range_len(task, vma, next_vpn, pte, owner_desc,
+                                      limit=end - next_vpn)
+                try:
+                    if run > 1:
+                        yield from self.fetch_range(task, vma, next_vpn, run,
+                                                    _demand=False)
+                    else:
+                        yield from self.fetch(task, vma, next_vpn, pte,
+                                              _demand=False)
+                except Exception:
+                    return  # prefetch is best-effort; demand faults recover
+                for i in range(run):
+                    fetched = table.entry(next_vpn + i)
+                    if fetched is not None and fetched.present:
+                        if fetched.remote:
+                            fetched.clear_remote()
+                        self.counters.incr("prefetched_pages")
+                next_vpn += run
+        finally:
+            if span is not None:
+                span.end()
 
     def fetch_fallback(self, task, vma, vpn, pte):
         """RPC to the owner's fallback daemon (§4.3).  Generator.
@@ -850,15 +773,17 @@ class RemotePager:
             return None
         return shadow_pte.frame.content
 
-    def _install(self, task, kernel, pte, vma, content, descriptor_uid, vpn):
+    def _install(self, task, pte, vma, content, descriptor_uid, vpn):
         # A fetch that lost a race with task exit (an async prefetch, or
         # a demand fetch stalled behind a congested fabric) must not map
         # fresh frames into the dead page table — teardown already swept
         # it, so anything installed now would leak.
         if pte.present or task.state == "dead":
             return
+        kernel = task.kernel
         kernel._charge_cgroup(task)
         frame = pte.map_frame(kernel.frames.alloc(content=content),
                               writable=vma.writable)
+        pte.clear_remote()
         if self.enable_sharing:
             self.cache.insert(descriptor_uid, vpn, frame)

@@ -571,8 +571,7 @@ class FnCluster:
         return self.connplane
 
     def enable_resilience(self, deadline=params.FN_INVOCATION_DEADLINE,
-                          retry_budget=params.FN_RETRY_BUDGET,
-                          breakers=True, hedging=True):
+                          retry_budget=params.FN_RETRY_BUDGET):
         """Arm the gray-failure & overload layer; returns the config.
 
         Every invocation then carries an
@@ -580,15 +579,14 @@ class FnCluster:
         ``deadline`` + shared ``retry_budget``) down through admission,
         paging, and RPC; admission waits become bounded; the pager's RPC
         fallback gains per-peer circuit breakers and its DCT reads gain
-        hedging (each switchable); the health monitor scores EWMA ping
-        latency into placement suspicion.  Pass ``deadline=None`` /
+        hedging; the health monitor scores EWMA ping latency into
+        placement suspicion.  Pass ``deadline=None`` /
         ``retry_budget=None`` to disable either half.  Without this call
         behaviour is byte-identical to the seed.
         """
         if self.resilience is None:
             self.resilience = ResilienceConfig(deadline, retry_budget)
-            self.deployment.enable_resilience(breakers=breakers,
-                                              hedging=hedging)
+            self.deployment.enable_resilience()
         return self.resilience
 
     def enable_lineage(self, replicas=None):

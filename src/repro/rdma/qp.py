@@ -1,6 +1,6 @@
 """Queue pairs: RC (static connected), DC (dynamic connected), UD (datagram).
 
-All data-plane methods are generators (``yield from`` them inside a
+All data-plane methods return generators (``yield from`` them inside a
 process); they simulate timing and raise
 :class:`~repro.rdma.errors.RemoteAccessError` where the real NIC would
 return an error completion.
@@ -116,38 +116,7 @@ class RcQp(_QpBase):
         With ``rkey`` the responder NIC performs the conventional MR bounds
         check and NAKs out-of-region accesses.
         """
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None and tracer.enabled:
-            span = tracer.start_span("rdma.rc_read",
-                                     machine=self.nic.machine.machine_id,
-                                     peer=self.peer.machine_id, nbytes=length)
-        try:
-            self._check_usable()
-            fabric = self.nic.fabric
-            faults = fabric.faults
-            if faults is None:
-                slow, extra = 1.0, 0.0
-            else:
-                slow, extra = yield from self._faulted_prologue(faults)
-            peer_nic = fabric.nic_of(self.peer)
-            wire = fabric.wire_latency(self.nic.machine, self.peer)
-            half = params.RDMA_READ_LATENCY / 2.0
-            yield self.env.timeout((half + wire) * slow + extra)  # request
-            if rkey is not None and not peer_nic.mrs.check(rkey, addr, length):
-                yield self.env.timeout((half + wire) * slow + extra)  # NAK
-                self.nic.counters.incr("rc_read_rejected")
-                raise RemoteAccessError(
-                    "MR check failed for rkey=%r addr=%#x len=%d"
-                    % (rkey, addr, length))
-            yield from fabric.stream(peer_nic, length,   # response data
-                                     dst_machine=self.nic.machine)
-            yield self.env.timeout((half + wire) * slow + extra)
-            self.nic.counters.incr("rc_read")
-            return length
-        finally:
-            if span is not None:
-                span.end()
+        return self._read(1, length, rkey, addr)
 
     def read_batch(self, npages, page_bytes, rkey=None, addr=0):
         """Doorbell-batched READ of ``npages`` contiguous pages (§4.1).
@@ -157,16 +126,30 @@ class RcQp(_QpBase):
         per-extra-WQE posting cost), one MR check covering the whole range,
         the per-page payloads streamed back-to-back, and a single response
         latency.  Counters are charged per page so page-granularity
-        accounting stays comparable with the unbatched path.
+        accounting stays comparable with the unbatched path.  A batch of
+        one is exactly :meth:`read`.
         """
         if npages <= 0:
             raise ValueError("read_batch of %d pages" % npages)
+        return self._read(npages, page_bytes, rkey, addr)
+
+    def _read(self, npages, page_bytes, rkey, addr):
+        """The READ behind both verbs: a batch of one adds no WQE
+        posting cost and counts no batch.  Generator."""
+        length = npages * page_bytes
         tracer = self.env.tracer
         span = None
         if tracer is not None and tracer.enabled:
-            span = tracer.start_span("rdma.rc_read_batch",
-                                     machine=self.nic.machine.machine_id,
-                                     peer=self.peer.machine_id, npages=npages)
+            if npages == 1:
+                span = tracer.start_span("rdma.rc_read",
+                                         machine=self.nic.machine.machine_id,
+                                         peer=self.peer.machine_id,
+                                         nbytes=length)
+            else:
+                span = tracer.start_span("rdma.rc_read_batch",
+                                         machine=self.nic.machine.machine_id,
+                                         peer=self.peer.machine_id,
+                                         npages=npages)
         try:
             self._check_usable()
             fabric = self.nic.fabric
@@ -178,7 +161,6 @@ class RcQp(_QpBase):
             peer_nic = fabric.nic_of(self.peer)
             wire = fabric.wire_latency(self.nic.machine, self.peer)
             half = params.RDMA_READ_LATENCY / 2.0
-            length = npages * page_bytes
             # One doorbell: request latency paid once for the whole range.
             yield self.env.timeout(
                 (half + wire + (npages - 1) * params.DOORBELL_WQE_OVERHEAD)
@@ -193,7 +175,8 @@ class RcQp(_QpBase):
                                      dst_machine=self.nic.machine)
             yield self.env.timeout((half + wire) * slow + extra)
             self.nic.counters.incr("rc_read", npages)
-            self.nic.counters.incr("rc_read_batches")
+            if npages > 1:
+                self.nic.counters.incr("rc_read_batches")
             return length
         finally:
             if span is not None:
@@ -264,46 +247,7 @@ class DcQp(_QpBase):
         budget and completes in error with :class:`ConnectionError_`, so
         callers can tell "revoked" (expected) from "dead" (recover).
         """
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None and tracer.enabled:
-            span = tracer.start_span("rdma.dc_read",
-                                     machine=self.nic.machine.machine_id,
-                                     peer=target_machine.machine_id,
-                                     nbytes=length)
-        try:
-            fabric = self.nic.fabric
-            faults = fabric.faults
-            if faults is None:
-                slow, extra = 1.0, 0.0
-            else:
-                slow, extra = yield from self._faulted_prologue(
-                    faults, target_machine)
-            peer_nic = fabric.nic_of(target_machine)
-            wire = fabric.wire_latency(self.nic.machine, target_machine)
-            if target_id != self._last_target_id:
-                if span is not None:
-                    span.event("dct_reconnect", target=target_id)
-                yield self.env.timeout(params.DCT_RECONNECT_LATENCY * slow)
-                self._last_target_id = target_id
-            half = params.RDMA_READ_LATENCY / 2.0
-            yield self.env.timeout(
-                (half + wire + params.DCT_REQUEST_OVERHEAD) * slow + extra)
-            if not peer_nic.admits_dct(target_id, key):
-                yield self.env.timeout((half + wire) * slow + extra)
-                self.nic.counters.incr("dc_read_rejected")
-                raise RemoteAccessError(
-                    "DC target %r rejected on m%d"
-                    % (target_id, target_machine.machine_id))
-            yield from fabric.stream(
-                peer_nic, length + params.DCT_EXTRA_HEADER_BYTES,
-                dst_machine=self.nic.machine)
-            yield self.env.timeout((half + wire) * slow + extra)
-            self.nic.counters.incr("dc_read")
-            return length
-        finally:
-            if span is not None:
-                span.end()
+        return self._read(target_machine, target_id, key, 1, length)
 
     def read_batch(self, target_machine, target_id, key, npages, page_bytes):
         """Doorbell-batched READ of ``npages`` contiguous pages via a DC
@@ -315,17 +259,29 @@ class DcQp(_QpBase):
         and an unreachable peer burns one retry budget for the batch.  The
         cost model is one request packet (single doorbell ring, tiny
         per-extra-WQE posting cost), per-page payloads each carrying the
-        DCT header, and one response latency.
+        DCT header, and one response latency.  A batch of one is exactly
+        :meth:`read`.
         """
         if npages <= 0:
             raise ValueError("read_batch of %d pages" % npages)
+        return self._read(target_machine, target_id, key, npages, page_bytes)
+
+    def _read(self, target_machine, target_id, key, npages, page_bytes):
+        """The READ behind both verbs: a batch of one adds no WQE
+        posting cost and counts no batch.  Generator."""
         tracer = self.env.tracer
         span = None
         if tracer is not None and tracer.enabled:
-            span = tracer.start_span("rdma.dc_read_batch",
-                                     machine=self.nic.machine.machine_id,
-                                     peer=target_machine.machine_id,
-                                     npages=npages)
+            if npages == 1:
+                span = tracer.start_span("rdma.dc_read",
+                                         machine=self.nic.machine.machine_id,
+                                         peer=target_machine.machine_id,
+                                         nbytes=page_bytes)
+            else:
+                span = tracer.start_span("rdma.dc_read_batch",
+                                         machine=self.nic.machine.machine_id,
+                                         peer=target_machine.machine_id,
+                                         npages=npages)
         try:
             fabric = self.nic.fabric
             faults = fabric.faults
@@ -357,7 +313,8 @@ class DcQp(_QpBase):
                 dst_machine=self.nic.machine)
             yield self.env.timeout((half + wire) * slow + extra)
             self.nic.counters.incr("dc_read", npages)
-            self.nic.counters.incr("dc_read_batches")
+            if npages > 1:
+                self.nic.counters.incr("dc_read_batches")
             return npages * page_bytes
         finally:
             if span is not None:

@@ -453,7 +453,7 @@ def audit_rig(rig, drain=True):
     if deployment is not None:
         for node in deployment.nodes():
             resilience = getattr(node.pager, "resilience", None)
-            if resilience is not None and resilience.breakers is not None:
+            if resilience is not None:
                 breakers.extend(resilience.breakers.values())
     violations.extend(audit_resilience(
         breakers=breakers, contexts=getattr(rig, "contexts", ()),

@@ -8,31 +8,21 @@ See :mod:`repro.trace.tracer` for the span/context model,
 from .analysis import breakdown, critical_path, self_time
 from .export import chrome_trace, text_tree, write_chrome_trace
 from .tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
     MetricsRegistry,
-    NullSpan,
-    NullTracer,
     Span,
     Tracer,
     enabled_by_env,
-    get_tracer,
     maybe_install,
 )
 
 __all__ = [
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullSpan",
-    "NullTracer",
     "Span",
     "Tracer",
     "breakdown",
     "chrome_trace",
     "critical_path",
     "enabled_by_env",
-    "get_tracer",
     "maybe_install",
     "self_time",
     "text_tree",

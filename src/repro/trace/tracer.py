@@ -27,13 +27,9 @@ from ..metrics import CounterSet, LatencyRecorder
 
 __all__ = [
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NullSpan",
-    "NullTracer",
     "Span",
     "Tracer",
     "enabled_by_env",
-    "get_tracer",
     "maybe_install",
 ]
 
@@ -146,13 +142,12 @@ class Tracer:
     inherits the spawner's current span until it opens one of its own.
     """
 
-    def __init__(self, env, enabled=True, registry=None,
-                 record_durations=False, install=True):
+    def __init__(self, env, enabled=True, record_durations=False):
         self.env = env
         #: Master switch every guarded call site tests.  An installed but
         #: disabled tracer is the worst-case off path the perf gate times.
         self.enabled = enabled
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         #: When true, every ended span also records its duration into the
         #: registry histogram of the same name.  Off by default so spans
         #: can share names with hand-placed recorders (the cross-check in
@@ -167,8 +162,7 @@ class Tracer:
         self.marks = []
         self._stacks = {}      # context key -> [open spans, innermost last]
         self._inherited = {}   # Process -> span inherited at spawn
-        if install:
-            env.tracer = self
+        env.tracer = self
 
     # Context -----------------------------------------------------------
 
@@ -249,75 +243,6 @@ class Tracer:
         return [span for span in self.spans if span.end_time is None]
 
 
-class NullSpan:
-    """Inert span: every operation is a no-op; usable as context manager."""
-
-    __slots__ = ()
-
-    name = "null"
-    parent = None
-    start = 0.0
-    end_time = 0.0
-    attrs = {}
-    events = ()
-    children = ()
-    ended = True
-    duration = 0.0
-
-    def set(self, **attrs):
-        """Discard the attributes; returns self for chaining."""
-        return self
-
-    def event(self, name, **attrs):
-        """Discard the event."""
-
-    def end(self, **attrs):
-        """Do nothing; returns self for chaining."""
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullTracer:
-    """Inert tracer for unconditional call sites; records nothing."""
-
-    enabled = False
-    spans = ()
-    roots = ()
-    marks = ()
-
-    def current(self):
-        """Always ``None`` — there is never an open span."""
-        return None
-
-    def on_spawn(self, process):
-        """Ignore the spawn."""
-
-    def start_span(self, name, root=False, **attrs):
-        """Return the shared :data:`NULL_SPAN`."""
-        return NULL_SPAN
-
-    def mark(self, name, **attrs):
-        """Discard the mark."""
-
-    def annotate(self, name, **attrs):
-        """Discard the annotation."""
-
-    def open_spans(self):
-        """Always empty."""
-        return []
-
-
-NULL_TRACER = NullTracer()
-
-
 def enabled_by_env():
     """True when ``REPRO_TRACE`` requests tracing for this run."""
     return os.environ.get("REPRO_TRACE", "") not in ("", "0")
@@ -335,9 +260,3 @@ def maybe_install(env):
     if enabled_by_env():
         return Tracer(env)
     return None
-
-
-def get_tracer(env):
-    """The environment's tracer, or :data:`NULL_TRACER` when untraced."""
-    tracer = env.tracer
-    return tracer if tracer is not None else NULL_TRACER

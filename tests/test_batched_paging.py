@@ -15,6 +15,7 @@ from repro.core.paging import default_batch_pages
 from repro.kernel import Kernel
 from repro.rdma import RdmaFabric, RpcRuntime
 from repro.sim import Environment
+from repro.trace import Tracer
 
 
 def build_rig(batch_pages=0, prefetch_depth=0, num_machines=2):
@@ -87,17 +88,45 @@ class TestReadBatchVerbs:
         # 7 request/response round trips collapse into WQE-posting costs.
         assert batch < 0.5 * singles
 
+    def _dc_pair(self):
+        env = Environment()
+        cluster = Cluster(env, num_machines=2, num_racks=1)
+        fabric = RdmaFabric(env, cluster)
+        nic = fabric.nic_of(cluster.machine(0))
+        target = fabric.nic_of(cluster.machine(1))._new_target(user_key=1)
+        qp = run(env, nic.create_dc_qp())
+        return env, nic, qp, (cluster.machine(1), target.target_id,
+                              target.key)
+
+    def _read_one(self, transport, batch):
+        """One page read over ``transport`` with ``read_batch(1, ...)`` or
+        ``read``, traced: ``(simulated time, NIC counters, spans)``."""
+        if transport == "rc":
+            env, nic, qp = self._rc_pair()
+            verb = (qp.read_batch(1, params.PAGE_SIZE) if batch
+                    else qp.read(params.PAGE_SIZE))
+        else:
+            env, nic, qp, peer = self._dc_pair()
+            verb = (qp.read_batch(*peer, 1, params.PAGE_SIZE) if batch
+                    else qp.read(*peer, params.PAGE_SIZE))
+        tracer = Tracer(env)
+        start = env.now
+        assert run(env, verb) == params.PAGE_SIZE
+        spans = [(span.name, span.attrs) for span in tracer.spans]
+        return env.now - start, nic.counters.as_dict(), spans
+
     def test_batch_of_one_costs_exactly_one_read(self):
-        env, nic, qp = self._rc_pair()
-
-        def timed(gen):
-            start = env.now
-            yield from gen
-            return env.now - start
-
-        single = run(env, timed(qp.read(params.PAGE_SIZE)))
-        batch = run(env, timed(qp.read_batch(1, params.PAGE_SIZE)))
-        assert batch == single
+        """On both transports ``read_batch(1, ...)`` is exactly ``read``:
+        the same simulated time, the same per-page count and no batch
+        count, and the same span under an enabled tracer."""
+        for transport in ("rc", "dc"):
+            single = self._read_one(transport, batch=False)
+            batch = self._read_one(transport, batch=True)
+            assert batch == single
+            _, counters, spans = batch
+            assert counters[transport + "_read"] == 1
+            assert transport + "_read_batches" not in counters
+            assert [name for name, _ in spans] == ["rdma.%s_read" % transport]
 
     def test_counters_charged_per_page(self):
         env, nic, qp = self._rc_pair()

@@ -338,6 +338,20 @@ class TestQpPool:
         assert pool.leases_issued == pool.leases_released == 1
         assert not sanitizers.audit_connplane(_plane_of(pool))
 
+    def test_interrupted_miss_mid_creation_parks_its_qp_warm(self):
+        env, cluster, _ = _rig()
+        pool = _pool(env, cluster)
+        victim, lost = self._claim(pool, cluster.machine(1))
+        env.run(until=1.0)  # its batch is mid-creation
+        assert pool._inflight[1] and not pool._demand[1]
+        victim.interrupt("gone")
+        env.run()
+        assert not lost
+        assert pool.leases_issued == pool.leases_released == 0
+        assert [e.refs for e in pool.entries()] == [0]  # parked warm
+        assert cluster.machine(0).memory.used == QP
+        assert not sanitizers.audit_connplane(_plane_of(pool))
+
     def test_interrupted_granted_miss_releases_its_lease(self):
         env, cluster, _ = _rig()
         pool = _pool(env, cluster)

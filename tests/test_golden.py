@@ -16,6 +16,14 @@ a layer is armed is pinned too:
   armed, under a lossy link, a slow NIC, a NIC flap and a crash of the
   second invoker during the second burst.
 
+Three more run ``fork_burst``, ``fork_burst_rc`` and ``spike_faults``
+with doorbell batching armed, so the batched paging path is pinned too:
+
+* ``fork_burst_batched`` — the 48-fork burst with ``batch_pages=8`` and
+  a prefetch window of 4 pages;
+* ``fork_burst_rc_batched`` — ``fork_burst_rc`` with ``batch_pages=8``;
+* ``spike_faults_batched`` — ``spike_faults`` with ``batch_pages=8``.
+
 Each rig pins ``events_processed``, the final ``env.now``, a sha256
 over its per-invocation (or per-hop) record tuples, a rolling sha256
 over ``(when, event type)`` of every processed event and a sha256 over
@@ -34,7 +42,7 @@ import os
 
 import pytest
 
-from repro import params
+from repro import params, sanitizers
 from repro.faults import LossyLink, MachineCrash, NicFlap, SlowNic
 from repro.fn import FnCluster, MitosisPolicy
 from repro.kernel import VmaKind
@@ -94,17 +102,19 @@ def _hash_snapshots(deployment, digest):
 
 
 def _cluster(invokers, machines, steps, snapshots, arm=None,
-             transport="dct"):
+             transport="dct", batch_pages=None, prefetch_depth=0):
     """A MITOSIS FnCluster with TC0 registered (seed provisioned).
 
     With ``steps`` (a sha256 object) every processed event, provisioning
     included, feeds it (:func:`_hash_steps`); with ``snapshots`` every
     published descriptor does (:func:`_hash_snapshots`).  ``arm(fn)``,
     if given, runs before registration (the ``enable_*`` calls).
+    ``batch_pages`` and ``prefetch_depth`` go to :class:`FnCluster`.
     """
     fn = FnCluster(MitosisPolicy(), num_invokers=invokers,
                    num_machines=machines, num_dfs_osds=2, seed=0,
-                   transport=transport)
+                   transport=transport, batch_pages=batch_pages,
+                   prefetch_depth=prefetch_depth)
     if steps is not None:
         _hash_steps(fn.env, steps)
     if snapshots is not None:
@@ -234,17 +244,27 @@ def _arm_faults(fn):
     fn.enable_faults()
 
 
-def fork_burst(steps=None, snapshots=None):
+def fork_burst(steps=None, snapshots=None, **batching):
     """48 TC0 forks due within 1 ms on 8 invokers."""
-    fn, profile = _cluster(8, 11, steps, snapshots)
+    fn, profile = _cluster(8, 11, steps, snapshots, **batching)
     return fn, _open_loop(fn, profile, BURST_DUE)
 
 
-def fork_burst_rc(steps=None, snapshots=None):
+def fork_burst_rc(steps=None, snapshots=None, **batching):
     """The fork burst over RC, with the connection plane armed."""
     fn, profile = _cluster(8, 11, steps, snapshots, arm=_arm_connplane,
-                           transport="rc")
+                           transport="rc", **batching)
     return fn, _open_loop(fn, profile, BURST_DUE)
+
+
+def fork_burst_batched(steps=None, snapshots=None):
+    """The fork burst with 8-page ranges and a 4-page prefetch window."""
+    return fork_burst(steps, snapshots, batch_pages=8, prefetch_depth=4)
+
+
+def fork_burst_rc_batched(steps=None, snapshots=None):
+    """:func:`fork_burst_rc` with 8-page ranges."""
+    return fork_burst_rc(steps, snapshots, batch_pages=8)
 
 
 def spike(steps=None, snapshots=None):
@@ -253,13 +273,19 @@ def spike(steps=None, snapshots=None):
     return fn, _open_loop(fn, profile, SPIKE_DUE)
 
 
-def spike_faults(steps=None, snapshots=None):
+def spike_faults(steps=None, snapshots=None, **batching):
     """The spike with resilience and faults armed, under
     :data:`SPIKE_FAULTS`; runs 2 s past set-up, since the health
     monitor never lets the queue dry."""
-    fn, profile = _cluster(2, 5, steps, snapshots, arm=_arm_faults)
+    fn, profile = _cluster(2, 5, steps, snapshots, arm=_arm_faults,
+                           **batching)
     fn.faults.apply(SPIKE_FAULTS)
     return fn, _open_loop(fn, profile, SPIKE_DUE, horizon=2.0 * params.SEC)
+
+
+def spike_faults_batched(steps=None, snapshots=None):
+    """:func:`spike_faults` with 8-page ranges."""
+    return spike_faults(steps, snapshots, batch_pages=8)
 
 
 def chains(steps=None, snapshots=None):
@@ -269,7 +295,10 @@ def chains(steps=None, snapshots=None):
 
 
 RIGS = {"fork_burst": fork_burst, "fork_burst_rc": fork_burst_rc,
-        "spike": spike, "spike_faults": spike_faults, "chains": chains}
+        "spike": spike, "spike_faults": spike_faults, "chains": chains,
+        "fork_burst_batched": fork_burst_batched,
+        "fork_burst_rc_batched": fork_burst_rc_batched,
+        "spike_faults_batched": spike_faults_batched}
 
 
 def golden_path(name):
@@ -327,3 +356,43 @@ def test_chains_read_back_every_payload(default_path):
     assert len(read_backs) == CHAINS
     assert all(r[3] == 0 for r in read_backs)
     assert not fn.records  # chains bypass the load balancer
+
+
+#: Per rig, counts that show it runs the batched paging branches: range
+#: reads and range prefetch; RC range reads; and, under faults, ranges
+#: that degrade page by page, dead-parent fallbacks and hedged range
+#: reads.  ``pager.`` counts sum every node's pager, ``nic.`` every NIC.
+BATCHED_BRANCHES = {
+    "fork_burst_batched": {"pager.batched_reads": 194,
+                           "pager.prefetched_pages": 4798},
+    "fork_burst_rc_batched": {"nic.rc_read_batches": 133},
+    "spike_faults_batched": {"pager.batch_fallbacks": 19,
+                             "pager.dead_parent_fallbacks": 152,
+                             "pager.hedges_issued": 6},
+}
+
+
+def _branch_counts(fn):
+    """The pager and NIC counters of ``fn``, summed under ``pager.`` and
+    ``nic.``."""
+    counts = {}
+    sources = [("pager.", node.pager.counters)
+               for node in fn.deployment.nodes()]
+    sources += [("nic.", machine.nic.counters) for machine in fn.cluster
+                if machine.nic is not None]
+    for prefix, counters in sources:
+        for name, value in counters.as_dict().items():
+            counts[prefix + name] = counts.get(prefix + name, 0) + value
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_BRANCHES))
+def test_batched_rigs_exercise_batched_paging(name, default_path):
+    fn, _ = RIGS[name]()
+    counts = _branch_counts(fn)
+    expected = BATCHED_BRANCHES[name]
+    assert {key: counts.get(key, 0) for key in expected} == expected
+    if fn.faults is not None:
+        fn.stop_fault_daemons()
+        fn.env.run()
+    assert sanitizers.audit_rig(fn) == []

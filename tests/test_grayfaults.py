@@ -444,7 +444,7 @@ class TestHedgedReadsProperty:
         node1 = deployment.node(cluster.machine(1))
         # Constant tiny delay: min_samples never reached, so every read
         # uses `delay_us` and the clone path actually exercises.
-        node1.pager.enable_resilience(breakers=True, hedging=True)
+        node1.pager.enable_resilience()
         node1.pager.resilience.hedge = HedgeTracker(
             initial_delay=delay_us, min_samples=10 ** 9)
 
@@ -484,7 +484,7 @@ class TestHedgedReadsProperty:
         env, cluster, kernels, runtimes, deployment = build_mitosis_rig()
         node0 = deployment.node(cluster.machine(0))
         node1 = deployment.node(cluster.machine(1))
-        node1.pager.enable_resilience(breakers=True, hedging=True)
+        node1.pager.enable_resilience()
         node1.pager.resilience.hedge = HedgeTracker(
             initial_delay=0.01, min_samples=10 ** 9)
 
@@ -492,7 +492,7 @@ class TestHedgedReadsProperty:
         state = {"armed": False, "stalled": False}
 
         class _Stall:
-            def read(self, *args, **kwargs):
+            def read_batch(self, *args, **kwargs):
                 yield env.timeout(10 * params.SEC)
                 return params.PAGE_SIZE
 

@@ -1,11 +1,10 @@
 """Tests for ``repro.trace``: spans, context propagation, analysis, export.
 
-Covers the tracer core (per-process span stacks, spawn inheritance, the
-null objects behind zero-cost-off call sites), the critical-path analyzer
-(exact partition of a root's duration), both exporters, the trace
-sanitizer, the ``experiments trace`` rig with its trace-vs-recorder
-cross-check, and a hypothesis property that arbitrary interleaved spawn
-trees always produce a single well-formed span tree.
+Covers the tracer core (per-process span stacks, spawn inheritance),
+the critical-path analyzer (exact partition of a root's duration), both
+exporters, the trace sanitizer, the ``experiments trace`` rig with its
+trace-vs-recorder cross-check, and a hypothesis property that arbitrary
+interleaved spawn trees always produce a single well-formed span tree.
 """
 
 import json
@@ -21,18 +20,13 @@ from repro.metrics import LatencyRecorder
 from repro.sanitizers import SanitizerViolation, audit_traces, check_traces
 from repro.sim import Environment
 from repro.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
     MetricsRegistry,
-    NullSpan,
-    NullTracer,
     Span,
     Tracer,
     breakdown,
     chrome_trace,
     critical_path,
     enabled_by_env,
-    get_tracer,
     maybe_install,
     self_time,
     text_tree,
@@ -243,37 +237,6 @@ class TestInstallation:
         env = Environment()
         mine = Tracer(env)
         assert maybe_install(env) is mine
-
-    def test_get_tracer_falls_back_to_null(self):
-        env = Environment()
-        assert get_tracer(env) is NULL_TRACER
-        tracer = Tracer(env)
-        assert get_tracer(env) is tracer
-
-
-class TestNullObjects:
-    def test_null_span_is_inert_context_manager(self):
-        with NULL_SPAN as span:
-            assert span is NULL_SPAN
-        assert NULL_SPAN.set(a=1) is NULL_SPAN
-        assert NULL_SPAN.end() is NULL_SPAN
-        NULL_SPAN.event("x", y=2)
-        assert NULL_SPAN.attrs == {}
-        assert NULL_SPAN.ended
-        assert NULL_SPAN.duration == 0.0
-        assert isinstance(NULL_SPAN, NullSpan)
-
-    def test_null_tracer_records_nothing(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
-        assert NULL_TRACER.start_span("x", vpn=1) is NULL_SPAN
-        assert NULL_TRACER.current() is None
-        NULL_TRACER.mark("m")
-        NULL_TRACER.annotate("a")
-        NULL_TRACER.on_spawn(object())
-        assert NULL_TRACER.open_spans() == []
-        assert NULL_TRACER.spans == ()
-        assert NULL_TRACER.marks == ()
 
 
 class TestMetricsRegistry:
