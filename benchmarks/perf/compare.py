@@ -22,7 +22,8 @@ as a code regression.  The gate fails (exit 1) when
   falls below ``--min-shard-speedup`` (default 2) — the ``repro.shard``
   scaling promise.  The CPU-time basis (aggregate events over the
   slowest worker's CPU seconds) is runner-independent: wall-clock only
-  reflects the speedup when the runner actually has that many cores, or
+  reflects the speedup when the runner actually has that many cores
+  (``shard_wall_speedup`` is printed next to it, as info only), or
 * the connection plane's *simulated* makespan reduction on the RC fork
   storm (``fork10k_connplane`` vs ``fork10k_rc``) falls below
   ``--min-connplane-reduction`` percent (default 15) — the
@@ -225,6 +226,10 @@ def main(argv=None):
                 failures.append(
                     "sharded fork rig speedup %.2fx < required %.1fx"
                     % (speedup, args.min_shard_speedup))
+        wall_speedup = shard_rig.get("shard_wall_speedup")
+        if wall_speedup is not None:
+            print("shard speedup (wall basis, %s cores; info only): %.2fx"
+                  % (_cores(current), wall_speedup))
 
     plane_rig = current["rigs"].get("fork10k_connplane")
     if plane_rig is None:

@@ -28,7 +28,8 @@ events processed, events/sec, and peak RSS for three representative rigs —
   single-core rig on a *CPU-time* basis — ``events / max worker cpu``
   against ``events / cpu`` — which is what parallel hardware realises
   and, like the calibration normalization, does not depend on how many
-  cores the runner actually has.
+  cores the runner actually has.  ``shard_wall_speedup`` (single-core
+  wall over sharded wall) records what this runner's cores delivered.
 * ``grayfaults_smoke``   — the CI-sized brownout replay: fault injectors,
   hedged reads, breakers, deadline shedding.
 
@@ -272,6 +273,10 @@ def main(argv=None):
     rigs["fork10k_shard4"]["shard_speedup"] = (
         shard_per_core / base_per_core
         if base_per_core and shard_per_core else 0.0)
+    shard_wall = rigs["fork10k_shard4"]["wall_s"]
+    rigs["fork10k_shard4"]["shard_wall_speedup"] = (
+        rigs["fork10k_unbatched"]["wall_s"] / shard_wall
+        if shard_wall > 0 else 0.0)
 
     payload = {
         "version": 1,
@@ -305,6 +310,9 @@ def main(argv=None):
           % rigs["fork10k_tracing_off"]["tracing_off_overhead_pct"])
     print("shard speedup (cpu-time basis, %d workers): %.2fx"
           % (shard_workers, rigs["fork10k_shard4"]["shard_speedup"]))
+    print("shard speedup (wall basis, %d workers, %s cores): %.2fx"
+          % (shard_workers, os.cpu_count(),
+             rigs["fork10k_shard4"]["shard_wall_speedup"]))
     print("wrote %s" % args.out)
     return 0
 

@@ -280,7 +280,9 @@ class RemotePager:
         finally:
             if fetch_done is not None:
                 self._inflight.pop(key, None)
-                fetch_done.succeed()
+                # Popped, the marker is unreachable: wake coalescers only.
+                if fetch_done.callbacks:
+                    fetch_done.succeed()
         return content
 
     # reprolint: hot-path
@@ -426,7 +428,8 @@ class RemotePager:
                 if fetch_done is not None:
                     for key in keys:
                         self._inflight.pop(key, None)
-                    fetch_done.succeed()
+                    if fetch_done.callbacks:
+                        fetch_done.succeed()
             if _demand:
                 self.counters.incr("fault_around_pages", n - 1)
             return content

@@ -63,11 +63,14 @@ class RdmaFabric:
                                          nbytes, extra_time=extra_time)
             return
         duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
-        yield source_nic.egress.acquire()
+        # An idle link streams at once: no grant event to resume through.
+        egress = source_nic.egress
+        if not egress.try_acquire():
+            yield egress.acquire()
         try:
             yield self.env.timeout(duration + extra_time)
         finally:
-            source_nic.egress.release()
+            egress.release()
 
 
 class LoopbackFabric(RdmaFabric):

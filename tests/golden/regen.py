@@ -4,6 +4,10 @@ Run from the repository root, with no ``REPRO_*`` knob set::
 
     PYTHONPATH=src python tests/golden/regen.py
 
+Prints, per golden file, which pinned keys moved against the committed
+file (for ``validate.json``, which claims), and rewrites only the files
+that moved; the others stay byte-identical.
+
 ``tests/test_golden.py`` only compares against these files and never
 runs this script.  Regenerate only for a change meant to move the
 default path's simulated behaviour, and say why in CHANGES.md.
@@ -16,7 +20,17 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))))
 
-from tests.test_golden import RIGS, golden_path, measure  # noqa: E402
+from tests.test_golden import (  # noqa: E402
+    RIGS, golden_path, measure, measure_validate)
+
+
+def _committed(path):
+    """The pinned values in ``path``, or None if there is no such file."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        return None
 
 
 def main():
@@ -24,12 +38,22 @@ def main():
     if armed:
         sys.exit("unset %s: the goldens pin the default path"
                  % ", ".join(armed))
-    for name in sorted(RIGS):
-        pinned = measure(name)
-        with open(golden_path(name), "w") as handle:
+    for name in sorted(RIGS) + ["validate"]:
+        pinned = measure_validate() if name == "validate" else measure(name)
+        path = golden_path(name)
+        committed = _committed(path)
+        if pinned == committed:
+            print("%s: unchanged" % name)
+            continue
+        if committed is None:
+            print("%s: new file" % name)
+        else:
+            moved = sorted(key for key in set(pinned) | set(committed)
+                           if pinned.get(key) != committed.get(key))
+            print("%s: moved %s" % (name, ", ".join(moved)))
+        with open(path, "w") as handle:
             json.dump(pinned, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(name, json.dumps(pinned, sort_keys=True))
 
 
 if __name__ == "__main__":

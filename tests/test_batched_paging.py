@@ -276,6 +276,53 @@ class TestFaultAround:
         assert default_batch_pages() == params.PAGER_BATCH_PAGES_DEFAULT == 0
 
 
+class TestPageAtATime:
+    """Batching off: each fault is a run of one, and no event is
+    scheduled that changes nothing."""
+
+    def test_lone_remote_fault_event_count(self):
+        env, cluster, kernels, runtimes, deployment = build_rig()
+        parent, meta, child, heap, node0, node1 = forked_child(
+            env, cluster, kernels, runtimes, deployment)
+        before = env.events_processed
+        run(env, kernels[1].touch(child.task, heap.start_vpn))
+        # Initialize, fault overhead, four wire/verb timeouts and the
+        # process's completion: neither an egress grant on the idle
+        # link nor a fetch-done marker nobody waits on.
+        assert env.events_processed - before == 7
+        assert node1.pager.counters["rdma_reads"] == 1
+
+    def test_concurrent_faulters_of_one_page_coalesce(self):
+        env, cluster, kernels, runtimes, deployment = build_rig()
+        parent, meta, child, heap, node0, node1 = forked_child(
+            env, cluster, kernels, runtimes, deployment)
+        sibling = run(env, node1.fork_resume(meta))
+        vpn = heap.start_vpn
+        expected = run(env, kernels[0].touch(parent.task, vpn))
+        finished = {}
+
+        def fault(name, container):
+            content = yield from kernels[1].touch(container.task, vpn)
+            finished[name] = env.now
+            return content
+
+        def body():
+            fetcher = env.process(fault("fetcher", child))
+            waiter = env.process(fault("waiter", sibling))
+            yield fetcher & waiter
+            return fetcher.value, waiter.value
+
+        assert run(env, body()) == (expected, expected)
+        counters = node1.pager.counters
+        assert counters["rdma_reads"] == 1
+        assert counters["coalesced_faults"] == 1
+        # Woken at the fetch's completion, the waiter maps the arrived
+        # frame from the shared cache.
+        assert counters["shared_hits"] == 1
+        assert finished["waiter"] == pytest.approx(
+            finished["fetcher"] + params.SHARED_PAGE_COPY_LATENCY)
+
+
 class TestRangeComposition:
     """Sharing, coalescing, limits, hedging, fallbacks — all compose."""
 

@@ -29,8 +29,13 @@ over its per-invocation (or per-hop) record tuples, a rolling sha256
 over ``(when, event type)`` of every processed event and a sha256 over
 ``(vpn, remote_pfn, owner_hop)`` of every published descriptor's PTE
 snapshots against ``tests/golden/<rig>.json``.  A mismatch means the
-default path's simulated behaviour moved.  The test only compares;
-rewriting the files is the explicit step
+default path's simulated behaviour moved.
+
+``tests/golden/validate.json`` pins ``experiments validate`` the same
+way: every claim's paper value, measured string and grade, by claim
+name.
+
+The tests only compare; rewriting the files is the explicit step
 ``PYTHONPATH=src python tests/golden/regen.py``, and a change that does
 it must say why in CHANGES.md.
 """
@@ -43,6 +48,7 @@ import os
 import pytest
 
 from repro import params, sanitizers
+from repro.experiments import validate
 from repro.faults import LossyLink, MachineCrash, NicFlap, SlowNic
 from repro.fn import FnCluster, MitosisPolicy
 from repro.kernel import VmaKind
@@ -322,6 +328,15 @@ def measure(name):
             "steps_sha256": steps.hexdigest()}
 
 
+def measure_validate():
+    """Run ``experiments validate`` and return what ``validate.json``
+    pins: per claim name, its paper value, measured string and grade."""
+    return {row["claim"]: {"paper": row["paper"],
+                           "measured": row["measured"],
+                           "grade": row["grade"]}
+            for row in validate.run().rows}
+
+
 @pytest.fixture
 def default_path(monkeypatch):
     """Unset every ``REPRO_*`` knob so the rigs run the default path."""
@@ -335,6 +350,12 @@ def test_default_path_matches_golden(name, default_path):
     with open(golden_path(name)) as handle:
         golden = json.load(handle)
     assert measure(name) == golden
+
+
+def test_validate_matches_golden(default_path):
+    with open(golden_path("validate")) as handle:
+        golden = json.load(handle)
+    assert measure_validate() == golden
 
 
 @pytest.mark.parametrize("name", ["chains", "fork_burst", "spike"])

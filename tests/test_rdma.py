@@ -10,7 +10,7 @@ from repro.rdma import (
     RpcError,
     RpcRuntime,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 
 @pytest.fixture
@@ -23,6 +23,52 @@ def rig():
 
 def run(env, gen):
     return env.run(env.process(gen))
+
+
+class TestStream:
+    def test_idle_link_streams_at_once_busy_link_queues(self, rig):
+        env, cluster, fabric = rig
+        nic = fabric.nic_of(cluster.machine(0))
+        nbytes = 64 * params.PAGE_SIZE
+        duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+        done = []
+
+        def sender(tag):
+            yield from fabric.stream(nic, nbytes)
+            done.append((tag, env.now))
+
+        env.process(sender("first"))
+        env.process(sender("second"))
+        env.run()
+        assert done == [("first", pytest.approx(duration)),
+                        ("second", pytest.approx(2 * duration))]
+        # Two Initializes, two transfer timeouts, two completions and
+        # one grant: only the sender that found the link busy waited on
+        # an event for it.
+        assert env.events_processed == 7
+        assert (nic.egress.in_use, nic.egress.queued) == (0, 0)
+
+    def test_interrupt_mid_stream_on_idle_link_frees_it(self, rig):
+        env, cluster, fabric = rig
+        nic = fabric.nic_of(cluster.machine(0))
+
+        def sender():
+            try:
+                yield from fabric.stream(nic, 64 * params.PAGE_SIZE)
+            except Interrupt:
+                return env.now
+
+        proc = env.process(sender())
+
+        def interrupter():
+            yield env.timeout(5.0)  # the transfer takes ~21 us
+            assert nic.egress.in_use == 1
+            proc.interrupt()
+
+        env.process(interrupter())
+        env.run()
+        assert proc.value == 5.0
+        assert (nic.egress.in_use, nic.egress.queued) == (0, 0)
 
 
 class TestRcQp:
