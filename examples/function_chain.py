@@ -43,11 +43,13 @@ def main():
               % last.machine.machine_id)
         for hop in range(2):
             vpn = scheduler.heap_vpn(last, offset=100 + hop)
+            # The owner bits index the lineage: 0 = parent, 1 = grandparent.
+            owner = last.task.address_space.page_table.entry(vpn).owner_index
+            elder, _ = last.task.predecessors[owner]
             start = fn.env.now
             content = yield from last.kernel.touch(last.task, vpn)
-            owner = last.task.address_space.page_table.entry(vpn)
-            print("  read %r in %.1f us (PTE owner index at fault: hop %d)"
-                  % (content, fn.env.now - start, hop))
+            print("  read %r in %.1f us from m%d (PTE owner index %d)"
+                  % (content, fn.env.now - start, elder.machine_id, owner))
 
         node2 = fn.deployment.node(fn.invokers[2].machine)
         print("\npager counters on the final machine: %s"

@@ -8,7 +8,8 @@ frames*, and (4) file descriptors.  Memory pages are deliberately absent —
 children pull them over RDMA on demand.
 """
 
-from itertools import count
+from itertools import chain, count
+from operator import attrgetter
 
 from .. import params
 
@@ -89,6 +90,110 @@ class PteSnapshot:
         self.owner_hop = owner_hop
 
 
+_owner_hop = attrgetter("owner_hop")
+_MISSING = object()
+
+
+def max_owner_hop(snapshots):
+    """An upper bound on the owner hops a ``vpn -> PteSnapshot`` map
+    lists: exact for a plain dict, :attr:`DerivedSnapshots.max_hop`
+    for a derived one."""
+    if type(snapshots) is DerivedSnapshots:
+        return snapshots.max_hop
+    return max(map(_owner_hop, snapshots.values()), default=0)
+
+
+class DerivedSnapshots:
+    """The read-only PTE snapshot map of a descriptor prepared from a
+    resumed child (multi-hop, §4.4).
+
+    ``own`` maps each vpn whose PTE the shadow built to that PTE's entry,
+    or to None where the PTE maps nothing.  Every other vpn of ``elder``
+    (the child's own snapshot map) reads as the elder's entry one hop
+    further up: ``(remote_pfn, owner_hop + 1)``, or ``(None, 0)`` for an
+    entry with no PA.  So preparing the descriptor costs O(own), and an
+    untouched page costs nothing until it is looked up.
+
+    Derived maps stack, one layer per hop, over the plain dict of the
+    first descriptor in the lineage.  A lookup walks the layers in one
+    call, summing the hop offset, and builds at most one entry.
+    :meth:`items` lists the eager copy's order: the elder's order with
+    own entries in place, then own vpns the elder lacks, in insertion
+    order.  ``len`` is counted once, at construction.
+
+    The map aliases every elder below it, so neither it nor any layer is
+    ever mutated (the ``snapshot-read-only`` reprolint rule).
+    """
+
+    __slots__ = ("_layers", "_root", "_added", "_len", "max_hop")
+
+    def __init__(self, own, elder):
+        if type(elder) is DerivedSnapshots:
+            self._layers = (own,) + elder._layers
+            self._root = elder._root
+            added = dict(elder._added)
+        else:
+            self._layers = (own,)
+            self._root = elder
+            added = {}
+        size = len(elder)
+        own_hop = 0
+        for vpn, snap in own.items():
+            if vpn in elder:
+                if snap is None:
+                    size -= 1
+            elif snap is not None:
+                size += 1
+                # A vpn dropped one hop up and mapped again moves to the end.
+                added.pop(vpn, None)
+                added[vpn] = None
+            if snap is not None and snap.owner_hop > own_hop:
+                own_hop = snap.owner_hop
+        #: Every vpn a layer added over its elder, in the order it was
+        #: (last) added; some may have been dropped since.
+        self._added = added
+        self._len = size
+        #: Upper bound on every owner hop the map lists; fork_prepare
+        #: rejects the map when it exceeds MAX_FORK_HOPS.
+        self.max_hop = max(own_hop, max_owner_hop(elder) + 1)
+
+    def get(self, vpn):
+        """The entry for ``vpn``, or None."""
+        hop = 0
+        for layer in self._layers:
+            snap = layer.get(vpn, _MISSING)
+            if snap is not _MISSING:
+                break
+            hop += 1
+        else:
+            snap = self._root.get(vpn)
+        if snap is None or hop == 0:
+            return snap
+        if snap.remote_pfn is None:
+            return PteSnapshot(None)
+        return PteSnapshot(snap.remote_pfn, snap.owner_hop + hop)
+
+    def __contains__(self, vpn):
+        for layer in self._layers:
+            snap = layer.get(vpn, _MISSING)
+            if snap is not _MISSING:
+                return snap is not None
+        return vpn in self._root
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        """Iterate ``(vpn, PteSnapshot)`` pairs in the eager copy's order."""
+        get = self.get
+        added = self._added
+        for vpn in chain((vpn for vpn in self._root if vpn not in added),
+                         added):
+            snap = get(vpn)
+            if snap is not None:
+                yield vpn, snap
+
+
 class ContainerDescriptor:
     """The full condensed descriptor stored at the parent machine."""
 
@@ -105,7 +210,9 @@ class ContainerDescriptor:
         self.namespaces = namespaces
         self.cgroup_limits = cgroup_limits
         self.vma_descriptors = vma_descriptors
-        #: vpn -> PteSnapshot for every page recoverable via RDMA.
+        #: vpn -> PteSnapshot for every page recoverable via RDMA: a
+        #: plain dict, or a :class:`DerivedSnapshots` when the container
+        #: was itself resumed.  Read-only once published.
         self.pte_snapshots = pte_snapshots
         self.fd_specs = fd_specs
         #: Elder lineage *above* this descriptor's machine:

@@ -21,7 +21,8 @@ from ..rdma import ConnectionError_, RemoteAccessError, RpcError
 from ..rdma.rpc import RpcTimeout
 from ..sim import Interrupt
 from .daemon import DescriptorService, NetworkDaemon
-from .descriptor import ContainerDescriptor, PteSnapshot, VmaDescriptor
+from .descriptor import (ContainerDescriptor, DerivedSnapshots, PteSnapshot,
+                         VmaDescriptor, max_owner_hop)
 from .paging import RemotePager
 
 
@@ -142,31 +143,20 @@ class Mitosis:
                 vma.start_vpn, vma.num_pages, vma.kind, vma.writable,
                 dct_target_id=target.target_id, dct_key=target.key))
 
-        # The shadow's entries() order without flattening it: snapshot
-        # order with real PTEs in place, then locally added vpns in
-        # insertion order.  An untouched snapshot entry yields what
-        # _pte_snapshot gives for the remote PTE it stands for.
+        # One entry per PTE the shadow built.  A resumed child's shadow
+        # reads every other vpn from the child's snapshot map, one hop
+        # further up, without building it (DerivedSnapshots).
         table = shadow.address_space.page_table
-        built = dict(table.materialized())
-        pte_snapshots = {}
-        for vpn, elder in (table.snapshot or {}).items():
-            pte = built.pop(vpn, None)
-            if pte is not None:
-                entry = _pte_snapshot(pte)
-                if entry is None:
-                    continue
-            elif elder.remote_pfn is None:
-                entry = PteSnapshot(None, owner_hop=0)
-            else:
-                hop = elder.owner_hop + 1
-                if hop > params.MAX_FORK_HOPS:  # a corrupt snapshot
-                    raise Pte.owner_index_error(hop)
-                entry = PteSnapshot(elder.remote_pfn, owner_hop=hop)
-            pte_snapshots[vpn] = entry
-        for vpn, pte in built.items():
-            entry = _pte_snapshot(pte)
-            if entry is not None:
-                pte_snapshots[vpn] = entry
+        own = {vpn: _pte_snapshot(pte) for vpn, pte in table.materialized()}
+        elder = table.snapshot
+        if elder is None:
+            pte_snapshots = {vpn: entry for vpn, entry in own.items()
+                             if entry is not None}
+        else:
+            pte_snapshots = DerivedSnapshots(own, elder)
+        hop = max_owner_hop(pte_snapshots)
+        if hop > params.MAX_FORK_HOPS:  # a corrupt snapshot or PTE
+            raise Pte.owner_index_error(hop)
 
         descriptor = ContainerDescriptor(
             machine=self.machine,

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import params
 from repro.cluster import Cluster
-from repro.core.descriptor import PteSnapshot
+from repro.core.descriptor import DerivedSnapshots, PteSnapshot
 from repro.kernel import (
     Kernel,
     KernelError,
@@ -321,11 +321,69 @@ def pte_fields(pte):
             pte.frame, pte.remote_pfn, pte.owner_index, pte.huge)
 
 
-SNAPSHOTS = st.dictionaries(
-    st.integers(0, 40),
-    st.builds(PteSnapshot, st.one_of(st.none(), st.integers(0, 10**6)),
-              st.integers(0, params.MAX_FORK_HOPS)),
-    max_size=30)
+def eager_derivation(own, elder):
+    """The reference: the map fork_prepare used to copy entry by entry
+    from a resumed child's shadow.  ``own`` maps each vpn whose PTE the
+    shadow built to that PTE's entry (None where it maps nothing);
+    ``elder`` is the child's snapshot map."""
+    derived = {}
+    for vpn, snap in elder.items():
+        if vpn in own:
+            entry = own[vpn]
+            if entry is None:
+                continue
+        elif snap.remote_pfn is None:
+            entry = PteSnapshot(None, owner_hop=0)
+        else:
+            entry = PteSnapshot(snap.remote_pfn, owner_hop=snap.owner_hop + 1)
+        derived[vpn] = entry
+    for vpn, entry in own.items():
+        if vpn not in elder and entry is not None:
+            derived[vpn] = entry
+    return derived
+
+
+#: At most this many own layers stack over a root; the root's and the
+#: layers' own hops leave room for the hop each layer above adds.
+MAX_LAYERS = 3
+PFNS = st.integers(0, 10**6)
+
+
+def root_snapshots(max_hop):
+    return st.dictionaries(
+        st.integers(0, 40),
+        st.builds(PteSnapshot, st.one_of(st.none(), PFNS),
+                  st.integers(0, max_hop)),
+        max_size=30)
+
+
+#: One built shadow PTE's entry: present (hop 0), remote with a PA,
+#: mapped without a PA, or a tombstone for a PTE that maps nothing.
+OWN_ENTRIES = st.one_of(
+    st.builds(PteSnapshot, PFNS, st.just(0)),
+    st.builds(PteSnapshot, PFNS,
+              st.integers(1, params.MAX_FORK_HOPS - MAX_LAYERS)),
+    st.builds(PteSnapshot, st.none(), st.just(0)),
+    st.none())
+
+
+@st.composite
+def derived_snapshots(draw):
+    """``(derived map, eager reference)``: 1-3 own layers over a random
+    root, stacked hop by hop as fork_prepare stacks them.  Own vpns
+    reach past the root's range, so some are locally added."""
+    reference = snapshots = draw(
+        root_snapshots(params.MAX_FORK_HOPS - MAX_LAYERS))
+    for _ in range(draw(st.integers(1, MAX_LAYERS))):
+        own = draw(st.dictionaries(st.integers(0, 44), OWN_ENTRIES,
+                                   max_size=12))
+        snapshots = DerivedSnapshots(own, snapshots)
+        reference = eager_derivation(own, reference)
+    return snapshots, reference
+
+
+SNAPSHOTS = st.one_of(root_snapshots(params.MAX_FORK_HOPS),
+                      derived_snapshots().map(lambda pair: pair[0]))
 OPS = st.lists(st.tuples(st.sampled_from(("entry", "ensure", "install",
                                           "entries")),
                          st.integers(0, 48)),
@@ -402,6 +460,23 @@ class TestSnapshotOverlay:
             self.assert_same_view(overlaid, flat)
             assert ([(v, pte_fields(p)) for v, p in overlaid.entries()]
                     == [(v, pte_fields(p)) for v, p in flat.entries()])
+
+    @settings(max_examples=300, deadline=None)
+    @given(derived_snapshots())
+    def test_derived_map_matches_eager_derivation(self, pair):
+        derived, reference = pair
+
+        def fields(snap):
+            return None if snap is None else (snap.remote_pfn, snap.owner_hop)
+
+        assert len(derived) == len(reference)
+        for vpn in range(50):
+            assert (vpn in derived) == (vpn in reference)
+            assert fields(derived.get(vpn)) == fields(reference.get(vpn))
+        assert ([(vpn, fields(snap)) for vpn, snap in derived.items()]
+                == [(vpn, fields(snap)) for vpn, snap in reference.items()])
+        assert derived.max_hop >= max(
+            [snap.owner_hop for snap in reference.values()], default=0)
 
     def test_untouched_entries_are_not_materialized(self):
         overlay = PageTable()

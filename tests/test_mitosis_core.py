@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.containers import ContainerRuntime, hello_world_image
 from repro.core import ForkDepthExceeded, MitosisDeployment
 from repro.core.descriptor import PteSnapshot
+from repro.core.mitosis import _pte_snapshot
 from repro.kernel import Kernel, KernelError, PageTable
 from repro.rdma import RdmaFabric, RpcError, RpcRuntime
 from repro.sanitizers import audit_frame_refcounts
@@ -672,6 +673,76 @@ class TestMultiHop:
             return True
 
         assert run(env, body())
+
+    def test_built_owner_index_beyond_pte_bits_rejected_by_prepare(self, rig):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta)
+            # A built, still-remote PTE: its owner index fits the child's
+            # bits, but the hop the grandchild would need does not.
+            pte = child.task.address_space.page_table.entry(heap.start_vpn)
+            pte.set_owner_index(params.MAX_FORK_HOPS)
+            with pytest.raises(KernelError, match="does not fit"):
+                yield from node1.fork_prepare(child)
+            return True
+
+        assert run(env, body())
+
+    def test_prepare_from_resumed_child_builds_entries_for_built_ptes_only(
+            self, rig, monkeypatch):
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        k1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap = parent.task.address_space.vmas[3]
+        built = []
+        snapshot_init = PteSnapshot.__init__
+
+        def counting_init(snap, *args, **kwargs):
+            built.append(snap)
+            snapshot_init(snap, *args, **kwargs)
+
+        def body():
+            meta0 = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta0)
+            for offset in range(4):
+                yield from k1.touch(child.task, heap.start_vpn + offset)
+            yield from k1.write_page(child.task, heap.start_vpn, "w")
+            stack = child.task.address_space.vmas[-1]
+            child.task.address_space.grow(stack, 2)
+            yield from k1.touch(child.task, stack.end_vpn - 1, write=True)
+            monkeypatch.setattr(PteSnapshot, "__init__", counting_init)
+            meta1 = yield from node1.fork_prepare(child)
+            monkeypatch.undo()
+            return node1.service.lookup(meta1.handler_id, meta1.auth_key)
+
+        descriptor, shadow = run(env, body())
+        table = shadow.address_space.page_table
+        # Four heap pages and one stack page built; 1,330 at the parent.
+        assert 0 < len(built) <= len(table.materialized()) == 5
+        # The reference: the shadow's table flattened, one entry per PTE.
+        eager = {}
+        for vpn, pte in table.entries():
+            entry = _pte_snapshot(pte)
+            if entry is not None:
+                eager[vpn] = entry
+        snapshots = descriptor.pte_snapshots
+        assert len(snapshots) == len(eager) == len(table)
+        assert ([(vpn, snap.remote_pfn, snap.owner_hop)
+                 for vpn, snap in snapshots.items()]
+                == [(vpn, snap.remote_pfn, snap.owner_hop)
+                    for vpn, snap in eager.items()])
+        assert descriptor.nbytes == (
+            params.DESCRIPTOR_BASE_BYTES
+            + len(descriptor.vma_descriptors) * params.DESCRIPTOR_PER_VMA_BYTES
+            + len(eager) * params.DESCRIPTOR_PER_PTE_BYTES)
 
     def test_depth_limit_enforced(self, rig):
         env, cluster, runtimes, deployment = rig

@@ -35,6 +35,7 @@ ALL_RULES = (
     "stale-generation-compare",
     "raw-link-capacity",
     "qp-create-outside-connplane",
+    "snapshot-read-only",
 )
 
 
@@ -164,6 +165,22 @@ class TestRulePositives:
         types = sorted(f.message.split("`")[1] for f in found)
         assert types == ["DcTarget(...)", "RcQp(...)"]
         assert all("NIC" in f.message for f in found)
+
+    def test_snapshot_read_only(self, report):
+        found = by_rule(report.findings, "snapshot-read-only")
+        # Item assignment, item deletion and the five mutating calls;
+        # reads, a freshly built local map and other attributes stay
+        # clean.
+        assert all(f.path == "src/repro/snapshot_bad.py" for f in found)
+        assert len(found) == 7
+        messages = [f.message for f in found]
+        assert sum("item assignment" in m for m in messages) == 1
+        assert sum("item deletion" in m for m in messages) == 1
+        assert sorted(m.split("`")[1] for m in messages
+                      if m.startswith("`")) == [
+            ".pte_snapshots.clear()", ".pte_snapshots.setdefault()",
+            ".pte_snapshots.update()", ".snapshot.pop()",
+            ".snapshot.popitem()"]
 
 
 class TestSuppression:

@@ -661,3 +661,45 @@ def qp_create_outside_connplane(f):
                    "direct `%s(...)` construction — QPs come from the NIC "
                    "factory or a ConnPlane pool lease, so creation cost "
                    "and memory charges stay modeled" % name)
+
+
+# --- snapshot-read-only -------------------------------------------------------
+
+#: Attributes holding a published ``vpn -> PteSnapshot`` map.
+_SNAPSHOT_ATTRS = {"pte_snapshots", "snapshot"}
+_MUTATING_METHODS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _is_snapshot_map(node):
+    return isinstance(node, ast.Attribute) and node.attr in _SNAPSHOT_ATTRS
+
+
+@rule("snapshot-read-only")
+def snapshot_read_only(f):
+    """A published PTE snapshot map is read-only.  A descriptor prepared
+    from a resumed child reads its elder's map one hop up instead of
+    copying it (``DerivedSnapshots``), and every child's page table
+    overlays its descriptor's map, so writing to a map through
+    ``.pte_snapshots`` or ``.snapshot`` silently changes what every
+    descendant reads.  Build a new map instead."""
+    advice = "mutates a published snapshot map — every descendant reads it"
+    for node in ast.walk(f.tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+                and _is_snapshot_map(node.func.value)):
+            yield (node.lineno, "`.%s.%s()` %s; build a new map instead"
+                   % (node.func.value.attr, node.func.attr, advice))
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        kind = "deletion" if isinstance(node, ast.Delete) else "assignment"
+        for target in targets:
+            if (isinstance(target, ast.Subscript)
+                    and _is_snapshot_map(target.value)):
+                yield (node.lineno, "item %s on `.%s` %s; build a new map "
+                       "instead" % (kind, target.value.attr, advice))
