@@ -6,44 +6,62 @@ Usage::
         [--baseline benchmarks/perf/baseline.json] \
         [--tolerance 0.15] [--min-reduction 25]
 
-Wall times are normalized by the host-speed calibration loop recorded in
-each file (``host.calibration_s``), so a slower CI runner does not read
-as a code regression.  The gate fails (exit 1) when
+It first refuses (exit 2) a run it cannot compare with the baseline:
 
-* any rig's normalized wall time regresses more than ``--tolerance``
-  (default 15%) over the baseline, or
-* the same-run batched-vs-unbatched wall-clock reduction of the fork
-  batch-start rig falls below ``--min-reduction`` percent (default 25) —
-  the doorbell-batching speedup this harness exists to protect, or
-* the installed-but-disabled tracer costs more than
-  ``--max-trace-overhead`` percent (default 2) over the tracer-free fork
-  rig — the zero-cost-when-off promise of ``repro.trace``, or
-* the sharded fork rig's CPU-time speedup over the single-core rig
-  falls below ``--min-shard-speedup`` (default 2) — the ``repro.shard``
-  scaling promise.  The CPU-time basis (aggregate events over the
-  slowest worker's CPU seconds) is runner-independent: wall-clock only
-  reflects the speedup when the runner actually has that many cores
-  (``shard_wall_speedup`` is printed next to it, as info only), or
-* the connection plane's *simulated* makespan reduction on the RC fork
-  storm (``fork10k_connplane`` vs ``fork10k_rc``) falls below
-  ``--min-connplane-reduction`` percent (default 15) — the
-  ``repro.connplane`` warm-pool win, or
+* a run on another Python major.minor — the harness's reference chunk
+  (``perfbench/timing.py``) corrects for host speed, not for
+  interpreter speed, or
+* any rig whose ``forks``, ``batch_pages`` or ``workers`` differ from
+  the baseline's (a ``--forks 1000`` run against the 10K baseline).
+
+Otherwise the gate fails (exit 1) when
+
+* a baseline rig is missing from the run, or
+* any single-process rig's ``nominal_wall_s`` (its host seconds scaled
+  by the reference chunk, see ``harness.py``) regresses more than
+  ``--tolerance`` (default 15%) over the baseline's, or
+* a gate comparing two rigs of the same run misses its bound
+  (:data:`SAME_RUN_GATES`): the batched fork rig's raw-wall reduction
+  over the unbatched one (``--min-reduction``, default ≥25%), the
+  installed-but-disabled tracer's raw-CPU overhead
+  (``--max-trace-overhead``, default ≤2%), the sharded rig's speedup
+  over the single-core rig (``--min-shard-speedup``, default ≥2x; raw
+  CPU on both sides, events over the slowest worker's CPU seconds, so
+  it does not depend on the runner's cores), and the connection plane's
+  *simulated* makespan reduction on the RC fork storm
+  (``--min-connplane-reduction``, default ≥15%), or
 * ``--connscale CONNSCALE.json`` is given and the pooled fork
   throughput fails to scale with cluster size (or the unpooled baseline
   fails to plateau) — the ``experiments connscale`` contrast.
 
-Event counts are simulation-deterministic; a drift is reported as info
-(it means the event sequence changed, which the byte-identity tests own)
-but does not fail the gate.  Rigs whose baseline records zero events
-(trace-analysis-only rigs like ``fig1_smoke``) are reported but excluded
-from the wall gate — their wall time is host noise, not simulator work —
-as are multi-worker rigs, whose wall time depends on the runner's core
-count, which the calibration loop cannot see.
+Multi-worker rigs stay out of the wall gate: their wall time depends on
+the runner's core count, which the reference chunk cannot see.  Event
+counts are simulation-deterministic; a drift is reported as info (it
+means the event sequence changed, which the byte-identity tests own)
+but does not fail the gate.
 """
 
 import argparse
 import json
 import sys
+
+#: Rig parameters that must equal the baseline's for a run to compare.
+RIG_PARAMETERS = ("forks", "batch_pages", "workers")
+
+#: Gates comparing two rigs of one run:
+#: (rig, field, option holding the bound, bound is a floor, description).
+SAME_RUN_GATES = (
+    ("fork10k_batched", "wall_reduction_pct", "min_reduction", True,
+     "batched fork rig raw-wall reduction (%)"),
+    ("fork10k_tracing_off", "tracing_off_overhead_pct",
+     "max_trace_overhead", False,
+     "installed-but-disabled tracer raw-CPU overhead (%)"),
+    ("fork10k_shard4", "shard_speedup", "min_shard_speedup", True,
+     "sharded fork rig CPU-time speedup (x)"),
+    ("fork10k_connplane", "connplane_makespan_reduction_pct",
+     "min_connplane_reduction", True,
+     "connection-plane sim-makespan reduction (%)"),
+)
 
 
 def load(path):
@@ -51,10 +69,20 @@ def load(path):
         return json.load(handle)
 
 
-def _cores(payload):
-    """The recorded ``os.cpu_count()`` of a run's host, or "unrecorded"
-    (files from before the harness recorded it)."""
-    return payload["host"].get("cpu_count") or "unrecorded"
+def refusals(current, baseline):
+    """Why ``current`` cannot be compared with ``baseline`` (empty: it can)."""
+    reasons = []
+    versions = current["host"]["python"], baseline["host"]["python"]
+    if versions[0].split(".")[:2] != versions[1].split(".")[:2]:
+        reasons.append("python %s, baseline recorded on %s" % versions)
+    for name, base_rig in sorted(baseline["rigs"].items()):
+        # A missing rig is not refused here: the gate fails it below.
+        cur_rig = current["rigs"].get(name, base_rig)
+        reasons.extend("%s: %s=%s, baseline %s"
+                       % (name, key, cur_rig.get(key), base_rig.get(key))
+                       for key in RIG_PARAMETERS
+                       if cur_rig.get(key) != base_rig.get(key))
+    return reasons
 
 
 #: connscale gate thresholds: pooled throughput must grow at least this
@@ -109,7 +137,8 @@ def main(argv=None):
     parser.add_argument("current", help="freshly produced BENCH_perf.json")
     parser.add_argument("--baseline", default="benchmarks/perf/baseline.json")
     parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional wall regression (0.15=15%%)")
+                        help="allowed fractional nominal-wall regression "
+                             "(0.15=15%%)")
     parser.add_argument("--min-reduction", type=float, default=25.0,
                         help="required batched-vs-unbatched reduction (%%)")
     parser.add_argument("--max-trace-overhead", type=float, default=2.0,
@@ -128,13 +157,14 @@ def main(argv=None):
 
     current = load(args.current)
     baseline = load(args.baseline)
-
-    base_cal = baseline["host"]["calibration_s"]
-    cur_cal = current["host"]["calibration_s"]
-    speed = base_cal / cur_cal if cur_cal > 0 else 1.0
-    print("host speed factor vs baseline: %.2fx "
-          "(baseline cal %.3fs on %s cores, current cal %.3fs on %s cores)"
-          % (speed, base_cal, _cores(baseline), cur_cal, _cores(current)))
+    reasons = refusals(current, baseline)
+    if reasons:
+        for reason in reasons:
+            print("REFUSED: %s" % reason, file=sys.stderr)
+        return 2
+    print("python %s on %s cores (baseline: python %s on %s cores)"
+          % (current["host"]["python"], current["host"]["cpu_count"],
+             baseline["host"]["python"], baseline["host"]["cpu_count"]))
 
     failures = []
     for name, base_rig in sorted(baseline["rigs"].items()):
@@ -142,112 +172,46 @@ def main(argv=None):
         if cur_rig is None:
             failures.append("rig %r missing from current run" % name)
             continue
-        normalized = cur_rig["wall_s"] * speed
-        limit = base_rig["wall_s"] * (1.0 + args.tolerance)
+        if cur_rig["workers"] > 1:
+            print("%-20s wall=%7.2fs workers=%d (multi-worker rig, "
+                  "excluded from wall gate)"
+                  % (name, cur_rig["wall_s"], cur_rig["workers"]))
+            continue
+        nominal = cur_rig["nominal_wall_s"]
+        limit = base_rig["nominal_wall_s"] * (1.0 + args.tolerance)
         status = "ok"
-        if not base_rig.get("events"):
-            # fig1_smoke drives no simulation events — it is pure trace
-            # analysis over a pre-recorded run, and its sub-millisecond
-            # wall time is dominated by host noise (interpreter startup
-            # jitter swamps any real regression).  Report it for the
-            # record but keep it out of the pass/fail gate.
-            print("%-20s wall=%7.2fs (events: 0 — trace-only rig, "
-                  "excluded from wall gate)" % (name, cur_rig["wall_s"]))
-            continue
-        workers = max(base_rig.get("workers", 1),
-                      cur_rig.get("workers", 1))
-        if workers > 1:
-            # Wall time of a multi-process rig scales with the runner's
-            # core count, which the single-threaded calibration loop
-            # cannot normalize away; its own gate is shard_speedup.
-            print("%-20s wall=%7.2fs workers=%d ev/s/core=%s (multi-"
-                  "worker rig, excluded from wall gate)"
-                  % (name, cur_rig["wall_s"], workers,
-                     "%.0f" % cur_rig["events_per_s_per_core"]
-                     if cur_rig.get("events_per_s_per_core") else "-"))
-            continue
-        if normalized > limit:
+        if nominal > limit:
             status = "REGRESSION"
             failures.append(
-                "%s: normalized wall %.2fs > baseline %.2fs +%.0f%%"
-                % (name, normalized, base_rig["wall_s"],
+                "%s: nominal wall %.2fs > baseline %.2fs +%.0f%%"
+                % (name, nominal, base_rig["nominal_wall_s"],
                    args.tolerance * 100))
-        per_core = cur_rig.get("events_per_s_per_core")
-        print("%-20s wall=%7.2fs (normalized %7.2fs, baseline %7.2fs) "
-              "ev/s/core=%s %s"
-              % (name, cur_rig["wall_s"], normalized, base_rig["wall_s"],
-                 "%.0f" % per_core if per_core else "-", status))
-        if (base_rig.get("events") and cur_rig.get("events")
-                and base_rig["events"] != cur_rig["events"]):
+        print("%-20s nominal wall=%7.2fs (baseline %7.2fs, raw %7.2fs) %s"
+              % (name, nominal, base_rig["nominal_wall_s"],
+                 cur_rig["wall_s"], status))
+        if base_rig["events"] != cur_rig["events"]:
             print("  note: events %d -> %d (sequence changed; owned by the "
                   "byte-identity tests)"
                   % (base_rig["events"], cur_rig["events"]))
 
-    reduction = current["rigs"]["fork10k_batched"].get("wall_reduction_pct")
-    if reduction is None:
-        failures.append("fork10k_batched carries no wall_reduction_pct")
-    else:
-        print("fork batch-start reduction: %.1f%% (required >= %.0f%%)"
-              % (reduction, args.min_reduction))
-        if reduction < args.min_reduction:
-            failures.append(
-                "batched fork rig reduction %.1f%% < required %.0f%%"
-                % (reduction, args.min_reduction))
-
-    tracing_rig = current["rigs"].get("fork10k_tracing_off")
-    if tracing_rig is None:
-        failures.append("current run carries no fork10k_tracing_off rig")
-    else:
-        overhead = tracing_rig.get("tracing_off_overhead_pct")
-        if overhead is None:
-            failures.append(
-                "fork10k_tracing_off carries no tracing_off_overhead_pct")
-        else:
-            print("tracing-off overhead: %+.1f%% (allowed <= %.0f%%)"
-                  % (overhead, args.max_trace_overhead))
-            if overhead > args.max_trace_overhead:
-                failures.append(
-                    "installed-but-disabled tracer costs %.1f%% > "
-                    "allowed %.0f%%" % (overhead, args.max_trace_overhead))
-
-    shard_rig = current["rigs"].get("fork10k_shard4")
-    if shard_rig is None:
-        failures.append("current run carries no fork10k_shard4 rig")
-    else:
-        speedup = shard_rig.get("shard_speedup")
-        if speedup is None:
-            failures.append("fork10k_shard4 carries no shard_speedup")
-        else:
-            print("shard speedup (cpu-time basis, %d workers): %.2fx "
-                  "(required >= %.1fx)"
-                  % (shard_rig.get("workers", 0), speedup,
-                     args.min_shard_speedup))
-            if speedup < args.min_shard_speedup:
-                failures.append(
-                    "sharded fork rig speedup %.2fx < required %.1fx"
-                    % (speedup, args.min_shard_speedup))
-        wall_speedup = shard_rig.get("shard_wall_speedup")
-        if wall_speedup is not None:
-            print("shard speedup (wall basis, %s cores; info only): %.2fx"
-                  % (_cores(current), wall_speedup))
-
-    plane_rig = current["rigs"].get("fork10k_connplane")
-    if plane_rig is None:
-        failures.append("current run carries no fork10k_connplane rig")
-    else:
-        plane_red = plane_rig.get("connplane_makespan_reduction_pct")
-        if plane_red is None:
-            failures.append("fork10k_connplane carries no "
-                            "connplane_makespan_reduction_pct")
-        else:
-            print("connection-plane sim-makespan reduction: %.1f%% "
-                  "(required >= %.0f%%)"
-                  % (plane_red, args.min_connplane_reduction))
-            if plane_red < args.min_connplane_reduction:
-                failures.append(
-                    "connplane RC fork-storm reduction %.1f%% < "
-                    "required %.0f%%"
-                    % (plane_red, args.min_connplane_reduction))
+    for rig, field, option, floor, what in SAME_RUN_GATES:
+        value = current["rigs"].get(rig, {}).get(field)
+        if value is None:
+            failures.append("%s carries no %s" % (rig, field))
+            continue
+        bound = getattr(args, option)
+        held = value >= bound if floor else value <= bound
+        print("%s: %.2f (required %s %.2f) %s"
+              % (what, value, ">=" if floor else "<=", bound,
+                 "ok" if held else "FAIL"))
+        if not held:
+            failures.append("%s %.2f, required %s %.2f"
+                            % (what, value, ">=" if floor else "<=", bound))
+    wall_speedup = current["rigs"].get("fork10k_shard4", {}).get(
+        "shard_wall_speedup")
+    if wall_speedup is not None:
+        print("shard speedup (wall basis, %s cores; info only): %.2fx"
+              % (current["host"]["cpu_count"], wall_speedup))
 
     if args.connscale:
         failures.extend(check_connscale(load(args.connscale)))

@@ -1,11 +1,9 @@
 """Wall-clock benchmark harness: times representative rigs, emits BENCH_perf.json.
 
 Unlike ``benchmarks/test_*.py`` (pytest-benchmark suites over *simulated*
-results), this harness measures the simulator itself: host wall seconds,
-events processed, events/sec, and peak RSS for three representative rigs —
+results), this harness measures the simulator itself: host wall and CPU
+seconds, events processed, events/sec, and peak RSS for seven rigs —
 
-* ``fig1_smoke``         — pure trace analysis (no event loop): parser and
-  numeric throughput.
 * ``fork10k_unbatched`` / ``fork10k_batched`` — the 10K-fork batch start
   (Fig. 11's regime: one warm seed, N concurrent fork_resume + working-set
   paging).  Run twice in the same process, with the pager's doorbell
@@ -27,34 +25,45 @@ events processed, events/sec, and peak RSS for three representative rigs —
   ``shard_speedup`` is the aggregate events/s-per-core gain over the
   single-core rig on a *CPU-time* basis — ``events / max worker cpu``
   against ``events / cpu`` — which is what parallel hardware realises
-  and, like the calibration normalization, does not depend on how many
-  cores the runner actually has.  ``shard_wall_speedup`` (single-core
-  wall over sharded wall) records what this runner's cores delivered.
+  and does not depend on how many cores the runner actually has.
+  ``shard_wall_speedup`` (single-core wall over sharded wall) records
+  what this runner's cores delivered.
 * ``grayfaults_smoke``   — the CI-sized brownout replay: fault injectors,
   hedged reads, breakers, deadline shedding.
 
+Host seconds follow perfbench's host-speed model (``perfbench/timing.py``):
+each single-process fork rig runs dry in slices of :data:`SLICE_SPAN`
+simulated time, with a reference chunk timed after every slice.
+``grayfaults_smoke`` runs its loop inside ``grayfaults.run``, so it is
+scaled by the reference speed sampled right before and after it.  Each
+of these rigs reports its raw ``wall_s``/``cpu_s`` (reference excluded)
+and the ``nominal_wall_s``/``nominal_cpu_s`` that ``compare.py`` holds
+against the baseline.  The sharded rig stays raw.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/harness.py [--smoke] [--out BENCH_perf.json]
+    python benchmarks/perf/harness.py [--forks N] [--out BENCH_perf.json]
 
-``--smoke`` shrinks the fork rig for quick local iteration; CI runs the
-full 10K.  Compare against the checked-in baseline with
-``benchmarks/perf/compare.py``.
+CI runs the full 10K forks.  ``--forks 1000`` is a quick local run, which
+``compare.py`` refuses against the 10K-fork baseline.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import timing  # noqa: E402
 from repro import params  # noqa: E402
-from repro.experiments import fig1, grayfaults  # noqa: E402
+from repro.experiments import grayfaults  # noqa: E402
 from repro.fn import FnCluster, MitosisPolicy  # noqa: E402
 from repro.shard import default_shards, run_sharded  # noqa: E402
 from repro.trace import Tracer  # noqa: E402
@@ -63,29 +72,16 @@ from repro.workloads import tc0_profile  # noqa: E402
 #: Pages per doorbelled range for the batched fork rig.
 BATCH_PAGES = 8
 
-#: Back-to-back A/B pairs for the tracing-off overhead estimate.
+#: Interleaved A/B pairs for the tracing-off overhead estimate.
 TRACE_OVERHEAD_PAIRS = 10
+
+#: Simulated span of one timing slice (perfbench's ``fork_burst`` slice).
+SLICE_SPAN = 1.0 * params.MS
 
 
 def _peak_rss_kb():
     """Process-wide peak RSS in KB (monotonic high-water, see README)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def calibrate(iterations=2_000_000):
-    """Seconds for a fixed pure-Python busy loop.
-
-    A crude host-speed probe: compare.py divides baseline calibration by
-    the current run's to normalize wall times across machines, so the
-    regression gate tracks the *code*, not the runner the job landed on.
-    """
-    start = time.perf_counter()
-    acc = 0
-    for i in range(iterations):
-        acc += i % 7
-    if acc < 0:  # pragma: no cover - keeps the loop from being elided
-        raise AssertionError
-    return time.perf_counter() - start
 
 
 def _timed(fn):
@@ -96,17 +92,20 @@ def _timed(fn):
     return result, time.perf_counter() - wall0, time.process_time() - cpu0
 
 
-def run_fig1_smoke():
-    """Pure trace analysis; exercises no simulation events."""
-    _, wall, cpu = _timed(fig1.run)
-    return {"wall_s": wall, "cpu_s": cpu, "events": 0, "events_per_s": None,
-            "peak_rss_kb": _peak_rss_kb()}
+def _single_process(wall, cpu, nominal_wall, nominal_cpu, events):
+    """The host fields of a single-process rig."""
+    return {"wall_s": wall, "cpu_s": cpu, "nominal_wall_s": nominal_wall,
+            "nominal_cpu_s": nominal_cpu, "events": events,
+            "events_per_s": events / wall,
+            "events_per_s_per_core": events / cpu,
+            "workers": 1, "peak_rss_kb": _peak_rss_kb()}
 
 
-def run_fork_batch_start(num_forks, batch_pages, tracing="none",
-                         connplane=False, transport="dct"):
-    """The 10K-fork batch start: submit ``num_forks`` invocations of a
-    registered TC0 function against a MITOSIS FnCluster and drain them.
+def submit_burst(num_forks, batch_pages, tracing="none", connplane=False,
+                 transport="dct"):
+    """The 10K-fork batch start, set up: a MITOSIS FnCluster with a TC0
+    function registered and ``num_forks`` invocations of it submitted,
+    none yet run.  Returns ``(fn, sim_start)``.
 
     ``tracing="off-installed"`` installs a *disabled* tracer first — the
     worst-case untraced path (every guard does the full attribute test
@@ -124,30 +123,30 @@ def run_fork_batch_start(num_forks, batch_pages, tracing="none",
     if tracing == "off-installed":
         Tracer(fn.env, enabled=False)
     profile = tc0_profile()
+    fn.env.run(fn.env.process(fn.register(profile)))
+    for _ in range(num_forks):
+        fn.submit(profile.name)
+    return fn, fn.env.now
 
-    def setup():
-        yield from fn.register(profile)
 
-    fn.env.run(fn.env.process(setup()))
-    sim_start = fn.env.now
-
-    def burst():
-        procs = [fn.submit(profile.name) for _ in range(num_forks)]
-        for proc in procs:
-            fn.env.run(proc)
-
-    _, wall, cpu = _timed(burst)
-    events = fn.env.events_processed
-    pager_batched = sum(node.pager.counters["batched_reads"]
-                        for node in fn.deployment.nodes())
-    return {"wall_s": wall, "cpu_s": cpu, "events": events,
-            "events_per_s": events / wall if wall > 0 else None,
-            "events_per_s_per_core": events / cpu if cpu > 0 else None,
-            "workers": 1,
-            "peak_rss_kb": _peak_rss_kb(),
-            "sim_makespan_ms": (fn.env.now - sim_start) / params.MS,
-            "forks": num_forks, "batch_pages": batch_pages,
-            "batched_reads": pager_batched}
+def run_fork_batch_start(num_forks, batch_pages, **knobs):
+    """Run :func:`submit_burst`'s burst dry in timed slices."""
+    fn, sim_start = submit_burst(num_forks, batch_pages, **knobs)
+    slices = timing.run_sliced(fn.env, SLICE_SPAN)
+    if len(fn.records) != num_forks:
+        raise RuntimeError("%d of %d forks completed"
+                           % (len(fn.records), num_forks))
+    rig = _single_process(sum(s.wall for s in slices),
+                          sum(s.cpu for s in slices),
+                          *timing.nominal(slices), fn.env.events_processed)
+    # run_sliced leaves the clock on a slice boundary: the burst's
+    # makespan ends at its last completion, not at env.now.
+    finished = max(record.finished_at for record in fn.records)
+    rig.update(sim_makespan_ms=(finished - sim_start) / params.MS,
+               forks=num_forks, batch_pages=batch_pages,
+               batched_reads=sum(node.pager.counters["batched_reads"]
+                                 for node in fn.deployment.nodes()))
+    return rig
 
 
 def run_fork_sharded(num_forks, workers):
@@ -175,40 +174,53 @@ def run_fork_sharded(num_forks, workers):
 def measure_tracing_overhead(num_forks, pairs=TRACE_OVERHEAD_PAIRS):
     """Median paired CPU-time overhead of an installed-but-disabled tracer.
 
-    Shared runners drift 10–30% over tens of seconds — far above the
-    single-digit effect being measured — so single A/B runs (and even
-    best-of-N) are useless.  Instead: ``pairs`` back-to-back A/B pairs,
-    each pair tight enough that drift within it is negligible, reduced
-    by the *median* of the per-pair relative differences (robust to the
-    odd preempted run).  CPU seconds rather than wall ignores scheduler
-    preemption; the sim is single-threaded, so the two agree when the
-    host is quiet.  Percentage overhead is scale-free (the guard cost is
-    per event), so the pairs may run fewer forks than the headline rig.
+    Shared hosts drift 10–30% within seconds — far above the
+    single-digit effect being measured — so each of ``pairs`` A/B pairs
+    runs its two bursts, tracer-free and tracer installed but disabled,
+    in alternating :data:`SLICE_SPAN` slices, summing each burst's raw
+    CPU seconds over its own slices: drift hits both sides alike.  The
+    cyclic GC is paused meanwhile (the default path makes no cyclic
+    garbage): a collection one burst triggers scans both heaps and would
+    land on one side at random.  The pairs are reduced by the *median*
+    of their relative differences.  Percentage overhead is scale-free
+    (the guard cost is per event), so the pairs may run fewer forks than
+    the headline rig.
 
     Returns ``(median_pct, sorted_diffs_pct)``.
     """
     diffs = []
     for _ in range(pairs):
-        base = run_fork_batch_start(num_forks, 0)["cpu_s"]
-        off = run_fork_batch_start(num_forks, 0,
-                                   tracing="off-installed")["cpu_s"]
-        diffs.append(100.0 * (off - base) / base if base > 0 else 0.0)
+        envs = [submit_burst(num_forks, 0, tracing=tracing)[0].env
+                for tracing in ("none", "off-installed")]
+        cpu = [0.0, 0.0]
+        gc.disable()
+        try:
+            while any(env.peek() != float("inf") for env in envs):
+                for side, env in enumerate(envs):
+                    if env.peek() != float("inf"):
+                        started = time.process_time()
+                        env.run(until=env.peek() + SLICE_SPAN)
+                        cpu[side] += time.process_time() - started
+        finally:
+            gc.enable()
+        diffs.append(100.0 * (cpu[1] - cpu[0]) / cpu[0])
     diffs.sort()
-    mid = len(diffs) // 2
-    median = diffs[mid] if len(diffs) % 2 else (diffs[mid - 1]
-                                                + diffs[mid]) / 2.0
-    return median, diffs
+    return statistics.median(diffs), diffs
 
 
 def run_grayfaults_smoke():
-    """CI-sized brownout replay (faults + resilience layers)."""
+    """CI-sized brownout replay (faults + resilience layers).
+
+    Its loop runs inside ``grayfaults.run`` and cannot be sliced, so its
+    raw seconds are scaled by the reference speed sampled right before
+    and right after it, as perfbench's set-up probe does.
+    """
+    before = timing.reference_speed()
     (_, runs), wall, cpu = _timed(lambda: grayfaults.run(smoke=True))
+    speed = (before + timing.reference_speed()) / 2
+    scale = timing.REFERENCE_NOMINAL_S / speed
     events = sum(fn.env.events_processed for fn, _, _ in runs.values())
-    return {"wall_s": wall, "cpu_s": cpu, "events": events,
-            "events_per_s": events / wall if wall > 0 else None,
-            "events_per_s_per_core": events / cpu if cpu > 0 else None,
-            "workers": 1,
-            "peak_rss_kb": _peak_rss_kb()}
+    return _single_process(wall, cpu, wall * scale, cpu * scale, events)
 
 
 def main(argv=None):
@@ -217,15 +229,10 @@ def main(argv=None):
                         help="output path (default: ./BENCH_perf.json)")
     parser.add_argument("--forks", type=int, default=10_000,
                         help="forks for the batch-start rig (default 10000)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink the fork rig to 1000 for local runs")
     args = parser.parse_args(argv)
-    num_forks = 1000 if args.smoke else args.forks
+    num_forks = args.forks
 
-    calibration_s = calibrate()
     rigs = {}
-    print("[perf] fig1_smoke ...", flush=True)
-    rigs["fig1_smoke"] = run_fig1_smoke()
     print("[perf] fork%d_unbatched ..." % num_forks, flush=True)
     rigs["fork10k_unbatched"] = run_fork_batch_start(num_forks, 0)
     print("[perf] fork%d_tracing_off (tracer installed, disabled) ..."
@@ -285,7 +292,6 @@ def main(argv=None):
             "python": platform.python_version(),
             "platform": platform.system().lower(),
             "cpu_count": os.cpu_count(),
-            "calibration_s": calibration_s,
         },
         "rigs": rigs,
     }
@@ -294,14 +300,13 @@ def main(argv=None):
         handle.write("\n")
 
     for name, rig in rigs.items():
-        eps = rig.get("events_per_s")
-        per_core = rig.get("events_per_s_per_core")
-        print("%-20s wall=%7.2fs events=%9d ev/s=%s ev/s/core=%s "
+        nominal = rig.get("nominal_wall_s")
+        print("%-20s wall=%7.2fs nominal=%s events=%9d ev/s/core=%.0f "
               "workers=%d rss=%d KB"
-              % (name, rig["wall_s"], rig["events"],
-                 "%.0f" % eps if eps else "-",
-                 "%.0f" % per_core if per_core else "-",
-                 rig.get("workers", 1), rig["peak_rss_kb"]))
+              % (name, rig["wall_s"],
+                 "%7.2fs" % nominal if nominal is not None else "    raw",
+                 rig["events"], rig["events_per_s_per_core"],
+                 rig["workers"], rig["peak_rss_kb"]))
     print("fork batch-start wall-clock reduction: %.1f%%"
           % rigs["fork10k_batched"]["wall_reduction_pct"])
     print("connection-plane sim-makespan reduction: %.1f%%"

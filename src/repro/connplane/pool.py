@@ -275,7 +275,12 @@ class QpPool:
         self.counters.incr("pool_prewarms")
         # The release is immediate and unconditional — prewarm only parks
         # a warm QP; nothing escapes this function holding the lease.
-        lease = yield from self.acquire(peer_machine)  # reprolint: disable=acquire-release-balance
+        try:
+            lease = yield from self.acquire(peer_machine)  # reprolint: disable=acquire-release-balance
+        except ConnectionError_:
+            # Best-effort, like prefetch: a crash wiped the pool while the
+            # grant was queued, and the first fork's own miss connects.
+            return
         lease.release()
 
     def invalidate_peer(self, peer_id):

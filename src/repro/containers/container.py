@@ -78,10 +78,3 @@ class ContainerAccountant:
     def memory_on(self, machine):
         """Total tracked container memory on ``machine``."""
         return sum(c.memory_bytes() for c in self.live_on(machine))
-
-    def total_memory(self):
-        """Total tracked container memory cluster-wide."""
-        return sum(
-            c.memory_bytes()
-            for bucket in self._by_machine.values()
-            for c in bucket if c.state != ContainerState.DEAD)

@@ -12,7 +12,7 @@ Provides the three start paths the paper compares:
 """
 
 from .. import params
-from ..kernel import NamespaceSet, VmaKind
+from ..kernel import NamespaceSet
 from ..sim import Resource
 from .container import Container, ContainerState
 
@@ -105,10 +105,3 @@ class ContainerRuntime:
             from ..kernel import Cgroup
             cgroup = Cgroup()
         return Container(image, task, cgroup)
-
-    def stack_vma(self, container):
-        """The container's stack VMA (tests and growth paths)."""
-        for vma in container.task.address_space.vmas:
-            if vma.kind == VmaKind.STACK:
-                return vma
-        raise ValueError("container %r has no stack VMA" % (container,))

@@ -29,11 +29,6 @@ class NetworkDaemon:
         self._next = (self._next + 1) % len(self._dcqps)
         return qp
 
-    @property
-    def cached_qps(self):
-        """Number of DC queue pairs kept warm."""
-        return len(self._dcqps)
-
 
 class DescriptorService:
     """Parent-side registry of descriptors + shadow containers, with the
@@ -198,11 +193,6 @@ class DescriptorService:
         descriptor.lineage = name
         descriptor.generation = generation
         self._lineage[handler_id] = [name, generation]
-
-    def lineage_of(self, handler_id):
-        """(name, generation) of a stamped handler, else None."""
-        info = self._lineage.get(handler_id)
-        return None if info is None else tuple(info)
 
     def fence_floor(self, name):
         """The fence generation this daemon has learned for ``name``."""

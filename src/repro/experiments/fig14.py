@@ -24,13 +24,6 @@ PAYLOAD_SIZES = (1 * params.KB, 10 * params.KB, 100 * params.KB,
                  params.MB, 10 * params.MB)
 
 
-def _heap(container):
-    for vma in container.task.address_space.vmas:
-        if vma.kind == VmaKind.HEAP:
-            return vma
-    raise ValueError("no heap VMA")
-
-
 def _write_payload(kernel, container, payload_bytes):
     """Store a payload in a global variable; returns the written vpns.
 

@@ -29,11 +29,6 @@ class ChainResult:
         self.pending_gc = []
 
     @property
-    def total_latency(self):
-        """Sum of all hop latencies."""
-        return sum(self.hop_latencies)
-
-    @property
     def last_container(self):
         """The final hop's container (still live until finish_chain)."""
         if not self.containers:

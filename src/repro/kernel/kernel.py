@@ -85,10 +85,6 @@ class Kernel:
         self.tasks[task.pid] = task
         return task
 
-    def adopt_task(self, task):
-        """Register a task constructed elsewhere (descriptor restore)."""
-        self.tasks[task.pid] = task
-
     def release_task(self, task):
         """Free every resident frame and forget the task."""
         for _, pte in task.address_space.page_table.materialized():

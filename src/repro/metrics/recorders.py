@@ -214,10 +214,6 @@ class RecoveryLog:
         self.repairs.append((component, down_at, time))
         return time - down_at
 
-    def open_outages(self):
-        """Components currently marked down."""
-        return list(self._down_since)
-
     def mttr(self):
         """Mean time to repair over closed outages (None if none closed)."""
         if not self.repairs:

@@ -10,7 +10,7 @@ from ..metrics import CounterSet
 from ..sim import Resource
 from .dct import DcTarget, DcTargetPool
 from .mr import MrTable
-from .qp import DcQp, RcQp, UdQp
+from .qp import DcQp, RcQp
 
 
 class Rnic:
@@ -94,12 +94,6 @@ class Rnic:
         self.counters.incr("dcqp_created")
         return DcQp(self)
 
-    def create_ud_qp(self):
-        """Create a UD queue pair for connection-less (FaSST) RPC."""
-        yield self.env.timeout(params.DC_TARGET_CREATE_LATENCY)
-        self.counters.incr("udqp_created")
-        return UdQp(self)
-
     # --- DC targets ------------------------------------------------------------
     def _new_target(self, user_key):
         target = DcTarget(self.machine, user_key)
@@ -120,9 +114,3 @@ class Rnic:
         """The responder-side connection check replacing MR checks."""
         target = self.dc_targets.get(target_id)
         return target is not None and target.admits(key)
-
-    # --- Footprint accounting ----------------------------------------------------
-    @property
-    def dc_target_bytes(self):
-        """NIC memory held by live DC targets."""
-        return len(self.dc_targets) * params.DC_TARGET_BYTES

@@ -22,6 +22,7 @@ from repro import params, sanitizers
 from repro.cluster import Cluster
 from repro.connplane import AdvertCache, AdvertEntry, ConnPlane, QpPool, \
     default_connplane
+from repro.faults import MachineCrash
 from repro.fn import FnCluster, MitosisPolicy
 from repro.metrics import CounterSet
 from repro.rdma import ConnectionError_, RdmaFabric
@@ -522,6 +523,23 @@ class TestArmedRig:
                            for e in cache.entries())
         for pool in fn.connplane.pools.values():
             assert not any(e.peer_id == seed_mid for e in pool.entries())
+        fn.stop_fault_daemons()
+
+    def test_crash_during_prewarm_does_not_escape_the_loop(self):
+        # Registration's advert push starts a prewarm on each invoker; m1
+        # crashes while its QP grant is still queued.  The wipe fails the
+        # grant, and prewarm, being best-effort, must swallow it.
+        fn = FnCluster(MitosisPolicy(), num_invokers=3, num_machines=6,
+                       transport="rc")
+        fn.enable_connplane()
+        fn.enable_faults()
+        profile = tc0_profile()
+        fn.env.run(fn.env.process(fn.register(profile)))
+        fn.faults.apply([MachineCrash(1 * params.MS, 1,
+                                      down_for=100 * params.MS)])
+        end = fn.env.now + 200 * params.MS
+        fn.env.run(until=end)
+        assert fn.env.now == end
         fn.stop_fault_daemons()
 
     def test_expired_lease_never_hits_the_advert_cache(self):

@@ -7,6 +7,7 @@ from repro.containers import ContainerRuntime, hello_world_image
 from repro.core import MitosisDeployment
 from repro.kernel import Kernel
 from repro.rdma import RdmaFabric, RpcRuntime
+from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
 
 
@@ -124,3 +125,21 @@ class TestPrefetch:
             return contents
 
         assert env.run(env.process(body())) == ["v%d" % i for i in range(5)]
+
+    def test_prefetch_landing_after_child_exit_leaks_no_frame(self):
+        # The touch returns with the prefetch window still in flight; the
+        # child exits before it lands, so each late install finds a dead
+        # task and must map nothing into its swept page table.
+        env, cluster, kernels, runtimes, deployment = build_rig(
+            prefetch_depth=4)
+        parent, child = forked_child(env, cluster, runtimes, deployment)
+        heap = parent.task.address_space.vmas[3]
+
+        def body():
+            yield from kernels[1].touch(child.task, heap.start_vpn)
+            runtimes[1].destroy(child)
+
+        env.run(env.process(body()))
+        env.run()
+        assert audit_frame_refcounts(kernels) == []
+        assert kernels[1].frames.allocated == 0
