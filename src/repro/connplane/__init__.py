@@ -23,8 +23,7 @@ off (the default) every hook is a single ``is None`` test and the event
 sequence is byte-identical to the seed.
 """
 
-import os
-
+from .. import params
 from .advert import AdvertCache, AdvertEntry
 from .plane import ConnPlane
 from .pool import QpLease, QpPool
@@ -38,8 +37,7 @@ __all__ = [
 def default_connplane():
     """True when ``REPRO_CONNPLANE`` asks for the connection plane.
 
-    Unset / ``0`` / ``off`` / ``none`` / ``no`` / ``false`` keep the
-    layer unarmed (the seed behaviour); anything else arms it.
+    An off spelling (:func:`repro.params.env_flag`) keeps the layer
+    unarmed (the seed behaviour); anything else arms it.
     """
-    raw = os.environ.get("REPRO_CONNPLANE", "").strip().lower()
-    return raw not in ("", "0", "off", "none", "no", "false")
+    return params.env_flag("REPRO_CONNPLANE")

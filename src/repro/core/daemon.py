@@ -276,7 +276,7 @@ class DescriptorService:
                                      machine=self.machine.machine_id,
                                      handler=args["handler_id"])
         try:
-            yield self.env.timeout(1.0 * params.US)  # table lookup
+            yield self.env.timeout(params.DESCRIPTOR_LOOKUP_LATENCY)
             self._fence_check(args["handler_id"], args.get("generation"))
             entry = self.lookup(args["handler_id"], args["auth_key"])
             if entry is None:
@@ -287,8 +287,8 @@ class DescriptorService:
             # Reply carries address+size+keys; the descriptor body itself
             # goes over one-sided RDMA, not in this reply (zero-copy fetch,
             # §4.1).
-            return {"descriptor": descriptor,
-                    "nbytes": descriptor.nbytes}, 256
+            reply = {"descriptor": descriptor, "nbytes": descriptor.nbytes}
+            return reply, params.DESCRIPTOR_QUERY_REPLY_BYTES
         finally:
             if span is not None:
                 span.end()

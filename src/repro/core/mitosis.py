@@ -16,7 +16,6 @@ from .. import params
 
 from ..faults.errors import LeaseExpired, ParentUnreachable
 from ..kernel import KernelError, Pte
-from ..metrics import LatencyRecorder
 from ..rdma import ConnectionError_, RemoteAccessError, RpcError
 from ..rdma.rpc import RpcTimeout
 from ..sim import Interrupt
@@ -91,10 +90,6 @@ class Mitosis:
         self._rpc_deadline = None
         self._rpc_retries = None
         self._lease_proc = None
-        #: Optional ``{phase: LatencyRecorder}`` armed by
-        #: :meth:`enable_phase_recorders`; ``None`` (the default) keeps
-        #: :meth:`fork_resume` free of recorder bookkeeping.
-        self.phase_latencies = None
         #: Connection control plane (``repro.connplane``); ``None`` (the
         #: default) keeps every fork on the seed's per-fork query +
         #: connect path, byte-identical.
@@ -174,37 +169,14 @@ class Mitosis:
             lease_expires_at=self.service.lease_expiry(descriptor.handler_id))
 
     # --- fork_resume ---------------------------------------------------------------
-    def enable_phase_recorders(self, registry=None):
-        """Arm hand-placed per-phase recorders on :meth:`fork_resume`.
+    @staticmethod
+    def _phase_begin(tracer, name):
+        """Open one fork_resume phase's span, or None when untraced."""
+        return None if tracer is None else tracer.start_span("fork." + name)
 
-        Each phase records the exact ``env.now`` interval its trace span
-        covers, under the same ``fork.<phase>`` name — pass a
-        :class:`repro.trace.MetricsRegistry` to share one namespace with
-        a tracer, or omit it for standalone recorders.  Idempotent;
-        returns the ``{phase: recorder}`` map.  ``experiments trace``
-        cross-checks these against the critical-path analyzer.
-        """
-        if self.phase_latencies is None:
-            make = (registry.histogram if registry is not None
-                    else LatencyRecorder)
-            self.phase_latencies = {
-                name: make("fork." + name)
-                for name in ("descriptor_query", "descriptor_read",
-                             "containerize", "rebuild", "total")}
-        return self.phase_latencies
-
-    def _phase_begin(self, tracer, name):
-        """Open one fork_resume phase -> (span or None, start time)."""
-        span = None
-        if tracer is not None:
-            span = tracer.start_span("fork." + name)
-        return span, self.env.now
-
-    def _phase_end(self, rec, name, span, started):
-        """Close one phase.  Span and recorder share the same boundary
-        stamps — the trace-vs-recorder cross-check depends on it."""
-        if rec is not None:
-            rec[name].record(self.env.now - started)
+    @staticmethod
+    def _phase_end(span):
+        """Close one phase's span, if traced."""
         if span is not None:
             span.end()
 
@@ -216,8 +188,7 @@ class Mitosis:
         With a tracer installed the resume is bracketed by a
         ``mitosis.fork_resume`` span with one child span per phase
         (``fork.descriptor_query`` / ``fork.descriptor_read`` /
-        ``fork.containerize`` / ``fork.rebuild``); recorders armed by
-        :meth:`enable_phase_recorders` observe the same boundaries.
+        ``fork.containerize`` / ``fork.rebuild``).
         """
         tracer = self.env.tracer
         if tracer is not None and not tracer.enabled:
@@ -228,18 +199,13 @@ class Mitosis:
                 "mitosis.fork_resume", machine=self.machine.machine_id,
                 parent_machine=fork_meta.machine_id,
                 handler=fork_meta.handler_id)
-        rec = self.phase_latencies
-        started = self.env.now
         try:
-            container = yield from self._resume_phases(fork_meta, tracer, rec)
+            return (yield from self._resume_phases(fork_meta, tracer))
         finally:
-            if rec is not None:
-                rec["total"].record(self.env.now - started)
             if span is not None:
                 span.end()
-        return container
 
-    def _resume_phases(self, fork_meta, tracer, rec):
+    def _resume_phases(self, fork_meta, tracer):
         """The fork_resume body, phase-bracketed.  Generator."""
         parent_machine = self.deployment.machine_by_id(fork_meta.machine_id)
 
@@ -265,7 +231,7 @@ class Mitosis:
             # Phase 1: locate the descriptor with connection-less RPC; the
             # reply piggybacks the DCT keys (§4.2), then read the descriptor
             # body zero-copy with one-sided RDMA (§4.1).
-            pspan, pstart = self._phase_begin(tracer, "descriptor_query")
+            pspan = self._phase_begin(tracer, "descriptor_query")
             query_args = {"handler_id": fork_meta.handler_id,
                           "auth_key": fork_meta.auth_key}
             if fork_meta.generation is not None:
@@ -284,12 +250,12 @@ class Mitosis:
                     "descriptor query for h%d on m%d failed: %s"
                     % (fork_meta.handler_id, parent_machine.machine_id, exc))
             finally:
-                self._phase_end(rec, "descriptor_query", pspan, pstart)
+                self._phase_end(pspan)
             descriptor = reply["descriptor"]
             parent_node = self.deployment.node(parent_machine)
             if parent_machine.machine_id != self.machine.machine_id:
                 dcqp = self.net_daemon.dcqp()
-                pspan, pstart = self._phase_begin(tracer, "descriptor_read")
+                pspan = self._phase_begin(tracer, "descriptor_read")
                 try:
                     yield from dcqp.read(
                         parent_machine, parent_node.control_target.target_id,
@@ -302,22 +268,22 @@ class Mitosis:
                         "descriptor body read from m%d failed: %s"
                         % (parent_machine.machine_id, exc))
                 finally:
-                    self._phase_end(rec, "descriptor_read", pspan, pstart)
+                    self._phase_end(pspan)
 
         # Phase 2: fast containerization with a generalized lean container.
         # Descriptor-driven state rebuild is sub-millisecond (§4.1) and is
         # charged inside the sandbox slot like every start path's CPU work.
-        pspan, pstart = self._phase_begin(tracer, "containerize")
+        pspan = self._phase_begin(tracer, "containerize")
         try:
             container = yield from self.runtime.lean_start_empty(
                 descriptor.container_image,
                 extra_slot_time=params.DESCRIPTOR_RESTORE_BASE)
         finally:
-            self._phase_end(rec, "containerize", pspan, pstart)
+            self._phase_end(pspan)
         task = container.task
 
         # Rebuild execution state from the descriptor.
-        pspan, pstart = self._phase_begin(tracer, "rebuild")
+        pspan = self._phase_begin(tracer, "rebuild")
         try:
             task.registers = descriptor.registers.clone()
             task.namespaces = descriptor.namespaces.clone()
@@ -375,7 +341,7 @@ class Mitosis:
                         qp = yield from self.nic.create_rc_qp(elder_machine)
                         task._mitosis_rcqps[elder_machine.machine_id] = qp
         finally:
-            self._phase_end(rec, "rebuild", pspan, pstart)
+            self._phase_end(pspan)
 
         container.mark_running()
         return container

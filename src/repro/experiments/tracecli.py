@@ -1,14 +1,14 @@
-"""``experiments trace`` — exportable fork timelines + the cross-check.
+"""``experiments trace`` — exportable fork timelines + the closed-form check.
 
 Two rigs:
 
 1. **Warm remote fork** on a bare :class:`PrimitiveRig`: one
-   ``fork_prepare`` / ``fork_resume`` pair traced end to end, with the
-   hand-placed per-phase recorders armed on the *same* boundaries.  The
-   critical-path analyzer's stage attribution of the ``fork_resume``
-   span must agree with the recorder-based breakdown within
-   :data:`CROSS_CHECK_TOLERANCE` of the end-to-end latency — the two
-   measurement methods audit each other.
+   ``fork_prepare`` / ``fork_resume`` pair traced end to end.  The
+   critical-path analyzer's phase attribution of the ``fork_resume``
+   span must equal :func:`resume_cost` — the same phases priced from
+   :mod:`repro.params` constants alone — within
+   :data:`CROSS_CHECK_TOLERANCE`, so a change to either the analyzer or
+   the cost model shows up as a failing phase.
 2. **Fork storm** on a small :class:`~repro.fn.FnCluster`: a handful of
    concurrent invocations, each yielding one connected span tree from LB
    admission down to individual RDMA verbs.  The whole trace is audited
@@ -17,70 +17,107 @@ Two rigs:
    compact text tree.
 """
 
+from .. import params
+from ..core.descriptor import ForkMeta
 from ..fn import FnCluster, MitosisPolicy
 from ..sanitizers import check_traces
 from ..trace import Tracer, breakdown, critical_path, text_tree, \
     write_chrome_trace
-from ..workloads import execute, tc0_profile
-from .report import ExperimentReport, ms
+from ..workloads import tc0_profile
+from .report import ExperimentReport
 from .rigs import PrimitiveRig
 
-#: Trace-vs-recorder disagreement allowed per phase, as a fraction of the
-#: end-to-end fork_resume latency.  The two methods stamp identical
-#: ``env.now`` boundaries, so any drift here is an analyzer bug.
-CROSS_CHECK_TOLERANCE = 0.01
+#: Analyzer-vs-closed-form disagreement allowed per phase, relative to
+#: the closed form.  Both sum the same constants; only the float
+#: rounding of absolute timestamps may separate them.
+CROSS_CHECK_TOLERANCE = 1e-9
 
 PHASES = ("descriptor_query", "descriptor_read", "containerize", "rebuild")
 
 
-def run_warm_fork():
-    """Trace one warm remote fork.  Returns (tracer, recorders, span)."""
-    rig = PrimitiveRig(num_machines=3, num_dfs_osds=1)
+def resume_cost(rig, descriptor, child):
+    """Closed-form ``{phase: us}`` of one uncontended resume of
+    ``descriptor`` onto machine ``child`` (not the parent's) of an idle
+    ``rig``, from the constants docs/INTERNALS.md §2 names.  The body
+    read pays the reconnect of a DCQP's first read to the target."""
+    parent = descriptor.machine
+    wire = rig.cluster.wire_latency(child, parent)
+
+    def t(nbytes):
+        return params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+
+    sockets = sum(1 for fd in descriptor.fd_specs if fd.kind == "socket")
+    rebuild = sockets * params.SOCKET_RESTORE_LATENCY
+    if rig.node(child.machine_id).transport == "rc":
+        elders = [parent] + [m for m, _ in descriptor.predecessors]
+        remote = sum(1 for m in elders if m.machine_id != child.machine_id)
+        rebuild += remote * (params.RCQP_CREATE_LATENCY
+                             + params.RC_CONNECT_LATENCY)
+    return {
+        "descriptor_query": (params.UD_RPC_BASE_LATENCY + 2 * wire
+                             + params.DESCRIPTOR_LOOKUP_LATENCY
+                             + t(ForkMeta.NBYTES)
+                             + t(params.DESCRIPTOR_QUERY_REPLY_BYTES)),
+        "descriptor_read": (params.DCT_RECONNECT_LATENCY
+                            + params.RDMA_READ_LATENCY + 2 * wire
+                            + params.DCT_REQUEST_OVERHEAD
+                            + t(descriptor.nbytes
+                                + params.DCT_EXTRA_HEADER_BYTES)),
+        "containerize": (params.LEAN_CONTAINERIZATION
+                         + params.DESCRIPTOR_RESTORE_BASE),
+        "rebuild": rebuild,
+    }
+
+
+def trace_fork(rig, parent, child):
+    """Trace ``parent``'s ``fork_prepare`` and one ``fork_resume`` of it
+    onto machine ``child`` of ``rig``.
+
+    Returns ``(tracer, fork_span, expected)``: the tracer, the resume's
+    ``mitosis.fork_resume`` root span, and its :func:`resume_cost`.
+    """
     tracer = rig.tracer or Tracer(rig.env)
-    recorders = rig.node(1).enable_phase_recorders(tracer.registry)
-    profile = tc0_profile()
+    home = rig.node(parent.task.machine.machine_id)
 
     def measure():
-        parent = yield from rig.runtime(0).cold_start(profile.image)
-        meta = yield from rig.node(0).fork_prepare(parent)
-        forked = yield from rig.node(1).fork_resume(meta)
-        # Touch the working set so per-fault paging rides the trace too.
-        yield from execute(rig.env, forked, profile)
+        meta = yield from home.fork_prepare(parent)
+        yield from rig.node(child.machine_id).fork_resume(meta)
+        return meta
 
-    rig.run(measure())
-    fork_span = None
-    for span in tracer.roots:
-        if span.name == "mitosis.fork_resume":
-            fork_span = span
-    if fork_span is None:
+    meta = rig.run(measure())
+    spans = [s for s in tracer.roots if s.name == "mitosis.fork_resume"]
+    if not spans:
         raise AssertionError("no mitosis.fork_resume span was traced")
-    return tracer, recorders, fork_span
+    fork_span = spans[-1]
+    descriptor, _ = home.service.lookup(meta.handler_id, meta.auth_key)
+    return tracer, fork_span, resume_cost(rig, descriptor, child)
 
 
-def cross_check(fork_span, recorders):
-    """Compare the analyzer's phase attribution with the recorders.
+def run_warm_fork():
+    """Trace one warm remote fork of TC0, m0 to m1 (:func:`trace_fork`)."""
+    rig = PrimitiveRig(num_machines=3, num_dfs_osds=1)
+    parent = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+    return trace_fork(rig, parent, rig.machine(1))
 
-    Returns ``(rows, worst)`` where each row carries both measurements
-    and ``worst`` is the largest disagreement as a fraction of the
-    end-to-end fork latency.
+
+def cross_check(fork_span, expected):
+    """Compare the analyzer's phase attribution with the closed form.
+
+    Returns ``(rows, worst)``: one row per phase plus the total, each
+    with both values in us, and the largest disagreement relative to
+    the closed form (an exact zero is owed exactly).
     """
-    total = fork_span.duration
     parts = breakdown(fork_span, max_depth=1)
+    pairs = [(phase, parts.get("fork." + phase, 0.0), expected[phase])
+             for phase in PHASES]
+    pairs.append(("total", fork_span.duration, sum(expected.values())))
     rows, worst = [], 0.0
-    for phase in PHASES:
-        trace_us = parts.get("fork." + phase, 0.0)
-        values = recorders[phase].values
-        rec_us = values[-1] if values else 0.0
-        delta = abs(trace_us - rec_us) / total if total else 0.0
-        worst = max(worst, delta)
-        rows.append(dict(stage=phase, trace_ms=ms(trace_us),
-                         recorder_ms=ms(rec_us),
-                         delta_pct=100.0 * delta))
-    rec_total = recorders["total"].values[-1]
-    delta = abs(total - rec_total) / total if total else 0.0
-    worst = max(worst, delta)
-    rows.append(dict(stage="total", trace_ms=ms(total),
-                     recorder_ms=ms(rec_total), delta_pct=100.0 * delta))
+    for stage, traced, closed in pairs:
+        gap = abs(traced - closed)
+        rel = gap / closed if closed else (float("inf") if gap else 0.0)
+        worst = max(worst, rel)
+        rows.append(dict(stage=stage, analyzer_us=traced,
+                         closed_form_us=closed, rel_err="%.1e" % rel))
     return rows, worst
 
 
@@ -114,19 +151,20 @@ def run_storm(num_invocations, out_json, out_text):
 def run(smoke=False, out_json="TRACE_fork.json", out_text=None):
     """The ``experiments trace`` entry point -> ExperimentReport.
 
-    Raises ``AssertionError`` when the trace- and recorder-based fork
-    breakdowns disagree by more than :data:`CROSS_CHECK_TOLERANCE` of
-    the end-to-end latency.
+    Raises ``AssertionError`` (with the table) when any fork phase's
+    analyzer value and closed form differ by more than
+    :data:`CROSS_CHECK_TOLERANCE`.
     """
     if out_text is None:
         out_text = (out_json[:-len(".json")] if out_json.endswith(".json")
                     else out_json) + ".txt"
     report = ExperimentReport(
-        "trace", "Warm remote fork: critical-path vs recorder breakdown",
-        notes="trace and recorder stamps share boundaries; the chrome "
-              "export of the storm is in %s" % out_json)
-    tracer, recorders, fork_span = run_warm_fork()
-    rows, worst = cross_check(fork_span, recorders)
+        "trace", "Warm remote fork: critical-path analyzer vs closed form",
+        notes="closed form from repro.params, tolerance %.0e relative; "
+              "the chrome export of the storm is in %s"
+              % (CROSS_CHECK_TOLERANCE, out_json))
+    _, fork_span, expected = run_warm_fork()
+    rows, worst = cross_check(fork_span, expected)
     for row in rows:
         report.add(**row)
 
@@ -135,14 +173,12 @@ def run(smoke=False, out_json="TRACE_fork.json", out_text=None):
     path = critical_path(fork_span)
     report.add(stage="(storm: %d invocations, %d spans, %d marks)"
                      % (storm_n, len(storm_tracer.spans),
-                        len(storm_tracer.marks)),
-               trace_ms=None, recorder_ms=None, delta_pct=None)
+                        len(storm_tracer.marks)))
     report.add(stage="(critical path: %s)"
-                     % " > ".join(s.name for s in path),
-               trace_ms=None, recorder_ms=None, delta_pct=None)
+                     % " > ".join(s.name for s in path))
     if worst > CROSS_CHECK_TOLERANCE:
         raise AssertionError(
-            "trace/recorder breakdowns disagree by %.2f%% of the "
-            "end-to-end fork latency (tolerance %.2f%%)"
-            % (100.0 * worst, 100.0 * CROSS_CHECK_TOLERANCE))
+            "analyzer and closed-form fork phases differ by %.1e relative "
+            "(tolerance %.0e)\n%s"
+            % (worst, CROSS_CHECK_TOLERANCE, report.table()))
     return report

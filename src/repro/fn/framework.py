@@ -18,7 +18,7 @@ from ..faults import FaultInjector
 from ..faults.errors import AdmissionShed, DeadlineExceeded, FaultError
 from ..kernel import Kernel
 from ..lineage import LineageRuntime, default_seed_replicas
-from ..metrics import CounterSet, LatencyRecorder, RecoveryLog, TimeSeries
+from ..metrics import CounterSet, RecoveryLog, TimeSeries
 from ..rdma import ConnectionError_, RdmaFabric, RpcError, RpcRuntime
 from ..rdma.rpc import RpcTimeout
 from ..resilience import InvocationContext, RetryBudget
@@ -83,7 +83,6 @@ class FnCluster:
 
         self.functions = {}
         self.records = []
-        self.latencies = LatencyRecorder("invocation-latency")
         self._next_rr = 0
         #: None, or a shard-ownership predicate over invoker indices
         #: (``repro.shard``'s replica workers install one).  Called on
@@ -281,7 +280,6 @@ class FnCluster:
                 if attempt > 1:
                     self.counters.incr("invocations_recovered")
                 self.records.append(record)
-                self.latencies.record(record.latency)
                 if span is not None:
                     span.set(outcome=record.outcome, attempts=attempt,
                              start_kind=start_kind)

@@ -79,19 +79,25 @@ class Invoker:
         """Count a container against this invoker's memory."""
         self.live_containers.add(container)
 
-    def untrack(self, container):
-        """Stop counting a container.
-
-        Also drops any pooled-QP leases the fork path attached to the
-        container's task (connplane only): untrack is on every exit path
-        — finish, destroy, crash wipe — so leases cannot outlive their
-        container and the pool's refcounts stay conserved.
-        """
+    @staticmethod
+    def release_leases(container):
+        """Release the pooled-QP leases the fork path attached to the
+        container's task (connplane only).  Idempotent."""
         leases = getattr(container.task, "_connplane_leases", None)
         if leases:
             for lease in leases:
                 lease.release()
             del leases[:]
+
+    def untrack(self, container):
+        """Stop counting a container.
+
+        Also releases its pooled-QP leases (:meth:`release_leases`):
+        untrack is on every exit path — finish, destroy, crash wipe — so
+        leases cannot outlive their container and the pool's refcounts
+        stay conserved.
+        """
+        self.release_leases(container)
         self.live_containers.discard(container)
 
     def destroy(self, container):

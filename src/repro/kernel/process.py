@@ -70,7 +70,9 @@ class Task:
         #: is "self/local"; PTE owner bits index this list.
         self.predecessors = []
         #: Pooled-QP leases the connection plane attached at fork time
-        #: (None without REPRO_CONNPLANE); released by invoker.untrack.
+        #: (None without REPRO_CONNPLANE); released by
+        #: ``Invoker.release_leases`` on untrack, or once a lineage
+        #: replica holds every page.
         self._connplane_leases = None
 
     def open_fd(self, kind, path=None):

@@ -189,7 +189,12 @@ class LineageRuntime:
         """The copy stream: touch every still-remote page of each VMA
         from ``start_index`` on, through the ordinary paging path (RDMA
         read, shared cache, batching, fallback — whatever applies), then
-        journal the completed VMA as one copy-epoch bump.  Generator."""
+        journal the completed VMA as one copy-epoch bump.  Generator.
+
+        A fully copied replica never reads from its elder again, so its
+        pooled-QP leases toward the elder are released at the end — a
+        replica outlives its elder's crash, which drops the pooled
+        entries those leases count against."""
         task = member.container.task
         kernel = member.node.kernel
         vmas = list(task.address_space.vmas)
@@ -203,6 +208,7 @@ class LineageRuntime:
                 self.counters.incr("pages_replicated")
             self.registry.bump_copy_epoch(self.env.now, name,
                                           member.invoker.index)
+        member.invoker.release_leases(member.container)
 
     def _publish_replica(self, member, name):
         """Publish a fully-copied replica's own descriptor.  Generator."""

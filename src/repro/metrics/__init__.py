@@ -1,23 +1,18 @@
-"""Measurement utilities: latency recorders, time series, throughput, stats."""
+"""Measurement utilities: counters, time series, recovery logs, stats.
 
-from .recorders import (
-    CounterSet,
-    LatencyRecorder,
-    RecoveryLog,
-    ThroughputMeter,
-    TimeSeries,
-)
-from .stats import cdf_points, geometric_mean, histogram, mean, percentile
+Invocation latencies live in ``FnCluster.records`` and simulated phase
+timings in :mod:`repro.trace` spans; this package holds what neither
+covers.
+"""
+
+from .recorders import CounterSet, RecoveryLog, TimeSeries
+from .stats import cdf_points, mean, percentile
 
 __all__ = [
     "CounterSet",
-    "LatencyRecorder",
     "RecoveryLog",
-    "ThroughputMeter",
     "TimeSeries",
     "cdf_points",
-    "geometric_mean",
-    "histogram",
     "mean",
     "percentile",
 ]

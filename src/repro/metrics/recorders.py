@@ -1,82 +1,11 @@
 """Measurement collectors attached to simulated components.
 
-These are plain data sinks: components call ``record``/``sample``/``incr``
-at simulation time, and experiment harnesses read summaries afterwards.
+These are plain data sinks: components call ``sample``/``incr``/
+``mark_down`` at simulation time, and experiment harnesses read
+summaries afterwards.
 """
 
 from collections import defaultdict
-
-from . import stats
-
-
-class LatencyRecorder:
-    """Collects individual latency observations (microseconds)."""
-
-    def __init__(self, name=""):
-        self.name = name
-        self.values = []
-
-    def record(self, value):
-        """Add one observation."""
-        self.values.append(value)
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def count(self):
-        """Number of observations."""
-        return len(self.values)
-
-    def mean(self):
-        """Arithmetic mean of the observations."""
-        return stats.mean(self.values)
-
-    def geometric_mean(self):
-        """Geometric mean of the observations."""
-        return stats.geometric_mean(self.values)
-
-    def percentile(self, pct):
-        """The pct-th percentile of the observations."""
-        return stats.percentile(self.values, pct)
-
-    def p50(self):
-        """Median latency."""
-        return self.percentile(50)
-
-    def p99(self):
-        """99th-percentile latency."""
-        return self.percentile(99)
-
-    def max(self):
-        """Largest observation."""
-        if not self.values:
-            raise ValueError("max of empty sequence")
-        return max(self.values)
-
-    def min(self):
-        """Smallest observation."""
-        if not self.values:
-            raise ValueError("min of empty sequence")
-        return min(self.values)
-
-    def cdf(self, num_points=100):
-        """(value, fraction) CDF points over the observations."""
-        return stats.cdf_points(self.values, num_points)
-
-    def summary(self):
-        """Dict of the headline statistics (empty recorder -> zeros)."""
-        if not self.values:
-            return {"name": self.name, "count": 0}
-        return {
-            "name": self.name,
-            "count": self.count,
-            "mean": self.mean(),
-            "p50": self.p50(),
-            "p99": self.p99(),
-            "min": self.min(),
-            "max": self.max(),
-        }
 
 
 class TimeSeries:
@@ -116,48 +45,6 @@ class TimeSeries:
         if best is None:
             raise ValueError("no sample at or before %r" % (time,))
         return best
-
-
-class ThroughputMeter:
-    """Counts completion events and reports windowed or overall rates."""
-
-    def __init__(self, name=""):
-        self.name = name
-        self.events = []
-
-    def mark(self, time):
-        """Record one completion at ``time``."""
-        self.events.append(time)
-
-    @property
-    def count(self):
-        """Number of completions recorded."""
-        return len(self.events)
-
-    def rate(self, start=None, end=None):
-        """Events per microsecond over [start, end] (defaults to full span)."""
-        if not self.events:
-            return 0.0
-        if start is None:
-            start = min(self.events)
-        if end is None:
-            end = max(self.events)
-        if end <= start:
-            return 0.0
-        inside = sum(1 for t in self.events if start <= t <= end)
-        return inside / (end - start)
-
-    def windowed(self, window):
-        """List of (window_start, count) over the observed span."""
-        if not self.events:
-            return []
-        start = min(self.events)
-        end = max(self.events)
-        bins = defaultdict(int)
-        for t in self.events:
-            bins[int((t - start) // window)] += 1
-        num = int((end - start) // window) + 1
-        return [(start + i * window, bins.get(i, 0)) for i in range(num)]
 
 
 class CounterSet:

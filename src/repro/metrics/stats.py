@@ -1,4 +1,4 @@
-"""Small statistics helpers used by recorders and experiment reports."""
+"""Small statistics helpers used by experiment reports."""
 
 import math
 
@@ -34,15 +34,6 @@ def mean(values):
     return sum(values) / len(values)
 
 
-def geometric_mean(values):
-    """Geometric mean; all values must be positive."""
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def cdf_points(values, num_points=100):
     """(value, cumulative_fraction) pairs suitable for plotting a CDF."""
     if not values:
@@ -57,13 +48,3 @@ def cdf_points(values, num_points=100):
         points.append((ordered[idx], (idx + 1) / n))
     return points
 
-
-def histogram(values, bin_edges):
-    """Counts of values per ``[edge[i], edge[i+1])`` bin."""
-    counts = [0] * (len(bin_edges) - 1)
-    for value in values:
-        for i in range(len(counts)):
-            if bin_edges[i] <= value < bin_edges[i + 1]:
-                counts[i] += 1
-                break
-    return counts

@@ -10,6 +10,8 @@ costs the paper reports in its own microbenchmarks.  All protocol *logic*
 real in the subsystem packages.
 """
 
+import os
+
 # --- Units -----------------------------------------------------------------
 US = 1.0
 MS = 1000.0 * US
@@ -152,6 +154,10 @@ FORK_PREPARE_PER_MB = 0.04 * MS
 #: Restoring execution structures from a fetched descriptor (§4.1: "(2) is
 #: fast (e.g., takes sub-millisecond)").
 DESCRIPTOR_RESTORE_BASE = 0.4 * MS
+#: Descriptor-table lookup at the parent's daemon, per address query.
+DESCRIPTOR_LOOKUP_LATENCY = 1.0 * US
+#: Address-query reply: address + size + the piggybacked DCT keys (§4.2).
+DESCRIPTOR_QUERY_REPLY_BYTES = 256
 #: Fallback-daemon RPC page read: slower than one-sided RDMA (§4.3).
 FALLBACK_RPC_PAGE_LATENCY = 12.0 * US
 #: Loading a cold page from secondary storage in the fallback daemon.
@@ -359,6 +365,16 @@ def transfer_time(size_bytes, bandwidth):
     if size_bytes <= 0:
         return 0.0
     return size_bytes / bandwidth
+
+
+def env_flag(name):
+    """True when the on/off knob ``name`` is set to anything but off.
+
+    Unset, blank, ``0``, ``off``, ``none``, ``no`` and ``false`` (any
+    case, surrounding blanks ignored) are off; every other value is on.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    return raw not in ("", "0", "off", "none", "no", "false")
 
 
 def pages_of(size_bytes):

@@ -29,7 +29,7 @@ makes the sanitizer-aware tests audit every seeded experiment they run
 instead of just the cheap default subset.
 """
 
-import os
+from .. import params
 
 __all__ = [
     "SanitizerViolation", "enabled",
@@ -56,8 +56,9 @@ class SanitizerViolation(AssertionError):
 
 
 def enabled():
-    """True when the ``REPRO_SANITIZERS`` flag asks for the strict sweep."""
-    return os.environ.get("REPRO_SANITIZERS", "") not in ("", "0")
+    """True when the ``REPRO_SANITIZERS`` flag asks for the strict sweep
+    (any value but an off spelling, :func:`repro.params.env_flag`)."""
+    return params.env_flag("REPRO_SANITIZERS")
 
 
 # --- Frame refcount audit (cross-validates no-raw-pte-mutation) ----------------

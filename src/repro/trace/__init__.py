@@ -5,18 +5,11 @@ See :mod:`repro.trace.tracer` for the span/context model,
 :mod:`repro.trace.export` for the Perfetto-loadable Chrome format.
 """
 
-from .analysis import breakdown, critical_path, self_time
+from .analysis import breakdown, critical_path
 from .export import chrome_trace, text_tree, write_chrome_trace
-from .tracer import (
-    MetricsRegistry,
-    Span,
-    Tracer,
-    enabled_by_env,
-    maybe_install,
-)
+from .tracer import Span, Tracer, enabled_by_env, maybe_install
 
 __all__ = [
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "breakdown",
@@ -24,7 +17,6 @@ __all__ = [
     "critical_path",
     "enabled_by_env",
     "maybe_install",
-    "self_time",
     "text_tree",
     "write_chrome_trace",
 ]

@@ -5,15 +5,16 @@ tree: every child interval (clipped against its siblings, earlier start
 wins) is charged to the child, gaps between children are charged to the
 parent as *self time*, and the charges sum **exactly** to the root's
 end-to-end duration — the invariant that lets a trace reproduce the
-paper's breakdown tables and be cross-checked against hand-placed
-recorders.  ``max_depth`` stops the recursion so, e.g., a fork span's
-phase-level split ignores per-verb detail.
+paper's breakdown tables and be checked phase by phase against the
+closed-form cost model (``experiments trace``).  ``max_depth`` stops
+the recursion so, e.g., a fork span's phase-level split ignores
+per-verb detail.
 
 :func:`critical_path` walks the chain of latest-finishing children —
 the spans whose completion gated the root's completion.
 """
 
-__all__ = ["breakdown", "critical_path", "self_time"]
+__all__ = ["breakdown", "critical_path"]
 
 
 def breakdown(span, max_depth=None):
@@ -65,9 +66,3 @@ def critical_path(span):
         node = max(ended, key=lambda c: (c.end_time, c.start))
         path.append(node)
 
-
-def self_time(span):
-    """Time inside ``span`` not covered by any child (same clipping)."""
-    parts = {}
-    _attribute(span, span.start, span.end_time, 0, 1, parts)
-    return parts.get(span.name, 0.0)

@@ -16,17 +16,14 @@ The tracer is **off by default**: ``Environment.tracer`` is ``None`` and
 every instrumentation site guards with ``tracer is not None and
 tracer.enabled``, keeping the untraced event sequence byte-identical and
 the overhead to one attribute test (the perf harness gates the
-installed-but-disabled worst case below 2% wall time).  Set
+installed-but-disabled worst case below 2% CPU time).  Set
 ``REPRO_TRACE=1`` to have the standard rigs (:class:`PrimitiveRig`,
 :class:`FnCluster`) install a tracer via :func:`maybe_install`.
 """
 
-import os
-
-from ..metrics import CounterSet, LatencyRecorder
+from .. import params
 
 __all__ = [
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "enabled_by_env",
@@ -100,40 +97,6 @@ class Span:
         return False
 
 
-class MetricsRegistry:
-    """Named counters and histograms, unified with :mod:`repro.metrics`.
-
-    Histograms *are* :class:`~repro.metrics.LatencyRecorder` instances, so
-    existing recorder-based code can be backed by a tracer's registry with
-    no API change: either ask the registry for a recorder by name
-    (:meth:`histogram`) or :meth:`adopt` one that already exists.
-    """
-
-    def __init__(self):
-        self.counters = CounterSet()
-        self._histograms = {}
-
-    def histogram(self, name):
-        """The recorder registered under ``name``, created on first use."""
-        recorder = self._histograms.get(name)
-        if recorder is None:
-            recorder = self._histograms[name] = LatencyRecorder(name)
-        return recorder
-
-    def adopt(self, recorder):
-        """Register an existing recorder under its own name; returns it."""
-        self._histograms[recorder.name] = recorder
-        return recorder
-
-    def incr(self, name, amount=1):
-        """Bump the named counter."""
-        self.counters.incr(name, amount)
-
-    def histograms(self):
-        """Snapshot of ``{name: recorder}``."""
-        return dict(self._histograms)
-
-
 class Tracer:
     """Records spans against an :class:`~repro.sim.Environment`.
 
@@ -142,17 +105,11 @@ class Tracer:
     inherits the spawner's current span until it opens one of its own.
     """
 
-    def __init__(self, env, enabled=True, record_durations=False):
+    def __init__(self, env, enabled=True):
         self.env = env
         #: Master switch every guarded call site tests.  An installed but
         #: disabled tracer is the worst-case off path the perf gate times.
         self.enabled = enabled
-        self.registry = MetricsRegistry()
-        #: When true, every ended span also records its duration into the
-        #: registry histogram of the same name.  Off by default so spans
-        #: can share names with hand-placed recorders (the cross-check in
-        #: ``experiments trace``) without double-recording.
-        self.record_durations = record_durations
         #: Every span ever started, in start order.
         self.spans = []
         #: Spans started with no parent (``root=True`` or no context).
@@ -218,9 +175,6 @@ class Tracer:
                     pass
             if not stack:
                 self._stacks.pop(span._ctx_key, None)
-        if self.record_durations:
-            self.registry.histogram(span.name).record(
-                span.end_time - span.start)
 
     # Annotations --------------------------------------------------------
 
@@ -244,12 +198,13 @@ class Tracer:
 
 
 def enabled_by_env():
-    """True when ``REPRO_TRACE`` requests tracing for this run."""
-    return os.environ.get("REPRO_TRACE", "") not in ("", "0")
+    """True when ``REPRO_TRACE`` requests tracing for this run (any
+    value but an off spelling, :func:`repro.params.env_flag`)."""
+    return params.env_flag("REPRO_TRACE")
 
 
 def maybe_install(env):
-    """Install a tracer on ``env`` if ``REPRO_TRACE=1`` asks for one.
+    """Install a tracer on ``env`` if ``REPRO_TRACE`` asks for one.
 
     Returns the environment's tracer (existing one wins) or ``None`` —
     the standard rigs call this so plain runs stay untraced and

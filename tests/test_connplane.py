@@ -93,6 +93,7 @@ class TestKnob:
     def test_spellings(self, monkeypatch):
         for raw, armed in (("", False), ("0", False), ("off", False),
                            ("none", False), ("no", False), ("false", False),
+                           (" Off ", False), ("NONE", False),
                            ("1", True), ("yes", True), ("on", True)):
             monkeypatch.setenv("REPRO_CONNPLANE", raw)
             assert default_connplane() is armed, raw
@@ -541,6 +542,24 @@ class TestArmedRig:
         fn.env.run(until=end)
         assert fn.env.now == end
         fn.stop_fault_daemons()
+
+    def test_replica_releases_its_lease_once_fully_copied(self):
+        # Registration grows two lineage replicas by forking the seed on
+        # m0; each resume leases a pooled QP toward m0.  m0's crash drops
+        # those pool entries, so a replica still holding its lease leaks
+        # it past the crash.
+        fn = FnCluster(MitosisPolicy(), num_invokers=3, num_machines=6,
+                       transport="rc")
+        fn.enable_connplane()
+        fn.enable_faults()
+        fn.enable_lineage(replicas=2)
+        fn.env.run(fn.env.process(fn.register(tc0_profile())))
+        fn.faults.apply([MachineCrash(1 * params.MS, 0,
+                                      down_for=100 * params.MS)])
+        fn.env.run(until=fn.env.now + 200 * params.MS)
+        fn.stop_fault_daemons()
+        fn.env.run()
+        assert sanitizers.audit_connplane(fn.connplane) == []
 
     def test_expired_lease_never_hits_the_advert_cache(self):
         fn = _burst(3, enable=lambda fn: fn.enable_connplane())

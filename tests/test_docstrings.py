@@ -1,12 +1,26 @@
-"""Documentation enforcement: every public item carries a docstring."""
+"""Documentation enforcement: every public item carries a docstring, and
+the README states what the code has."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import sys
 
 import repro
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO not in sys.path:
+    sys.path.insert(0, REPO)
+
+from tools.reprolint import REGISTRY  # noqa: E402
+
 SKIP_MODULES = {"repro.experiments.__main__"}
+
+NUMBER_WORDS = ("zero one two three four five six seven eight nine ten "
+                "eleven twelve thirteen fourteen fifteen sixteen seventeen "
+                "eighteen nineteen twenty").split()
 
 
 def _public_modules():
@@ -59,3 +73,40 @@ def test_every_public_method_documented():
                     missing.append("%s.%s.%s"
                                    % (module.__name__, cls_name, meth_name))
     assert not missing, "undocumented public methods: %s" % missing
+
+
+def _readme():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _packages():
+    """Every package directly under ``src/repro``."""
+    return {info.name for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg}
+
+
+def test_readme_architecture_names_every_package():
+    text = _readme()
+    start = text.index("\n## Architecture\n")
+    block = text[start:text.index("\n## ", start + 1)]
+    named = set(re.findall(r"^repro\.(\w+)", block, re.M))
+    assert named == _packages()
+
+
+def test_package_docstring_names_every_package():
+    named = set(re.findall(r":mod:`repro\.(\w+)`", repro.__doc__))
+    assert named == _packages()
+
+
+def test_readme_example_bullets_name_every_example():
+    bullets = re.findall(r"^\* `examples/(\w+\.py)`", _readme(), re.M)
+    examples = [name for name in os.listdir(os.path.join(REPO, "examples"))
+                if name.endswith(".py")]
+    assert sorted(bullets) == sorted(examples)
+
+
+def test_readme_reprolint_rule_count():
+    match = re.search(r"static-analysis pass: (\w+) per-file", _readme())
+    assert match is not None
+    assert NUMBER_WORDS.index(match.group(1)) == len(REGISTRY)

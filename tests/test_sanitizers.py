@@ -275,7 +275,9 @@ class TestFlag:
     def test_enabled_reads_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZERS", raising=False)
         assert not sanitizers.enabled()
-        monkeypatch.setenv("REPRO_SANITIZERS", "0")
-        assert not sanitizers.enabled()
-        monkeypatch.setenv("REPRO_SANITIZERS", "1")
-        assert sanitizers.enabled()
+        for off in ("0", "off", "none", "no", "false", " FALSE "):
+            monkeypatch.setenv("REPRO_SANITIZERS", off)
+            assert not sanitizers.enabled(), off
+        for on in ("1", "yes", "on"):
+            monkeypatch.setenv("REPRO_SANITIZERS", on)
+            assert sanitizers.enabled(), on

@@ -3,7 +3,7 @@
 Covers the tracer core (per-process span stacks, spawn inheritance),
 the critical-path analyzer (exact partition of a root's duration), both
 exporters, the trace sanitizer, the ``experiments trace`` rig with its
-trace-vs-recorder cross-check, and a hypothesis property that arbitrary
+analyzer-vs-closed-form check, and a hypothesis property that arbitrary
 interleaved spawn trees always produce a single well-formed span tree.
 """
 
@@ -13,14 +13,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro import params
 from repro.cluster import Cluster
 from repro.experiments import tracecli
+from repro.experiments.rigs import PrimitiveRig
 from repro.faults import FaultInjector
-from repro.metrics import LatencyRecorder
 from repro.sanitizers import SanitizerViolation, audit_traces, check_traces
 from repro.sim import Environment
 from repro.trace import (
-    MetricsRegistry,
     Span,
     Tracer,
     breakdown,
@@ -28,10 +28,10 @@ from repro.trace import (
     critical_path,
     enabled_by_env,
     maybe_install,
-    self_time,
     text_tree,
     write_chrome_trace,
 )
+from repro.workloads import tc0_profile
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -220,7 +220,8 @@ class TestInstallation:
         assert maybe_install(env) is None
         assert env.tracer is None
 
-    @pytest.mark.parametrize("value", ["", "0"])
+    @pytest.mark.parametrize("value", ["", "0", "off", "none", "no",
+                                       "false", " OFF ", "False"])
     def test_maybe_install_explicit_off(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_TRACE", value)
         assert maybe_install(Environment()) is None
@@ -237,45 +238,6 @@ class TestInstallation:
         env = Environment()
         mine = Tracer(env)
         assert maybe_install(env) is mine
-
-
-class TestMetricsRegistry:
-    def test_histogram_created_once(self):
-        registry = MetricsRegistry()
-        rec = registry.histogram("lat")
-        assert registry.histogram("lat") is rec
-        assert isinstance(rec, LatencyRecorder)
-        assert registry.histograms() == {"lat": rec}
-
-    def test_adopt_existing_recorder(self):
-        registry = MetricsRegistry()
-        rec = LatencyRecorder("fork.total")
-        assert registry.adopt(rec) is rec
-        assert registry.histogram("fork.total") is rec
-
-    def test_counters(self):
-        registry = MetricsRegistry()
-        registry.incr("hits")
-        registry.incr("hits", 4)
-        assert registry.counters["hits"] == 5
-
-    def test_record_durations_feeds_histograms(self):
-        env = Environment()
-        tracer = Tracer(env, record_durations=True)
-
-        def proc():
-            with tracer.start_span("phase"):
-                yield env.timeout(9.0)
-
-        env.run(env.process(proc()))
-        assert tracer.registry.histogram("phase").values == [9.0]
-
-    def test_durations_not_recorded_by_default(self):
-        env = Environment()
-        tracer = Tracer(env)
-        with tracer.start_span("phase"):
-            pass
-        assert tracer.registry.histograms() == {}
 
 
 class TestAnalysis:
@@ -319,10 +281,6 @@ class TestAnalysis:
         root = self._build()
         assert [s.name for s in critical_path(root)] == \
             ["root", "b", "b.leaf"]
-
-    def test_self_time(self):
-        root = self._build()
-        assert self_time(root) == pytest.approx(5.0)
 
     def test_overlapping_children_clip_without_double_counting(self):
         env = Environment()
@@ -499,13 +457,14 @@ class TestFaultMarks:
         assert injector.crash_machine(0)  # guard path: env.tracer is None
 
 
-class TestWarmForkTrace:
-    @pytest.fixture(scope="class")
-    def warm(self):
-        return tracecli.run_warm_fork()
+@pytest.fixture(scope="module")
+def warm():
+    return tracecli.run_warm_fork()
 
+
+class TestWarmForkTrace:
     def test_fork_tree_reaches_rpc_and_daemon(self, warm):
-        _, _, fork_span = warm
+        _, fork_span, _ = warm
         names = set()
         stack = [fork_span]
         while stack:
@@ -517,20 +476,52 @@ class TestWarmForkTrace:
         assert "daemon.query_descriptor" in names
 
     def test_cross_check_within_tolerance(self, warm):
-        _, recorders, fork_span = warm
-        rows, worst = tracecli.cross_check(fork_span, recorders)
+        _, fork_span, expected = warm
+        rows, worst = tracecli.cross_check(fork_span, expected)
         assert worst <= tracecli.CROSS_CHECK_TOLERANCE
         assert [row["stage"] for row in rows] == \
             list(tracecli.PHASES) + ["total"]
+        # The warm fork pays no socket repair and no RC handshake.
+        assert expected["containerize"] == (
+            params.LEAN_CONTAINERIZATION + params.DESCRIPTOR_RESTORE_BASE)
+        assert expected["rebuild"] == 0.0
 
     def test_breakdown_partitions_fork_duration(self, warm):
-        _, _, fork_span = warm
+        _, fork_span, _ = warm
         parts = breakdown(fork_span)
         assert sum(parts.values()) == pytest.approx(fork_span.duration)
 
     def test_trace_audit_clean(self, warm):
         tracer, _, _ = warm
         check_traces(tracer)
+
+
+class TestClosedForm:
+    """The terms the warm fork leaves at zero: rebuild and the wire."""
+
+    @pytest.mark.parametrize("shape, sockets, rebuild, wire", [
+        (dict(num_machines=3, num_dfs_osds=1), 1,
+         params.SOCKET_RESTORE_LATENCY, 0.0),
+        (dict(num_machines=3, num_dfs_osds=1, transport="rc"), 0,
+         params.RCQP_CREATE_LATENCY + params.RC_CONNECT_LATENCY, 0.0),
+        (dict(num_machines=4, num_racks=2), 0, 0.0,
+         params.CROSS_RACK_EXTRA_LATENCY),
+    ], ids=["socket_fd", "rc", "cross_rack"])
+    def test_analyzer_matches_closed_form(self, warm, shape, sockets,
+                                          rebuild, wire):
+        rig = PrimitiveRig(**shape)
+        parent = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+        for _ in range(sockets):
+            parent.task.open_fd("socket")
+        _, fork_span, expected = tracecli.trace_fork(rig, parent,
+                                                     rig.machine(1))
+        _, worst = tracecli.cross_check(fork_span, expected)
+        assert worst <= tracecli.CROSS_CHECK_TOLERANCE
+        assert expected["rebuild"] == rebuild
+        _, _, warm_cost = warm
+        for phase in ("descriptor_query", "descriptor_read"):
+            assert expected[phase] == pytest.approx(
+                warm_cost[phase] + 2 * wire, rel=1e-12)
 
 
 class TestTraceCliSmoke:
