@@ -326,20 +326,23 @@ class Mitosis:
                 # from the warm pool instead: repeat forks to the same
                 # elder hit a cached connection, co-located children share
                 # one through refcounted leases, and misses batch-create.
-                task._mitosis_rcqps = {}
+                # One connection per elder *machine*: a lineage that visits
+                # a machine twice reaches both hops over the same QP.
+                rcqps = task._mitosis_rcqps = {}
                 if self.connplane is not None:
                     task._connplane_leases = []
                 for elder_machine, _ in task.predecessors:
-                    if elder_machine.machine_id == self.machine.machine_id:
+                    if (elder_machine.machine_id == self.machine.machine_id
+                            or elder_machine.machine_id in rcqps):
                         continue
                     if self.connplane is not None:
                         lease = yield from self.connplane.pool(
                             self.machine).acquire(elder_machine)
                         task._connplane_leases.append(lease)
-                        task._mitosis_rcqps[elder_machine.machine_id] = lease.qp
+                        rcqps[elder_machine.machine_id] = lease.qp
                     else:
-                        qp = yield from self.nic.create_rc_qp(elder_machine)
-                        task._mitosis_rcqps[elder_machine.machine_id] = qp
+                        rcqps[elder_machine.machine_id] = (
+                            yield from self.nic.create_rc_qp(elder_machine))
         finally:
             self._phase_end(pspan)
 

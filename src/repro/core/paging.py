@@ -175,7 +175,8 @@ class RemotePager:
 
     # --- Fault entry points ------------------------------------------------------
     def fetch(self, task, vma, vpn, pte, _demand=True):
-        """Service a remote-bit fault.  Generator returning the content.
+        """Service a remote-bit fault.  Returns a generator returning the
+        content.
 
         Installs the PTE itself (so cache hits can share frames COW).
 
@@ -185,8 +186,18 @@ class RemotePager:
         future faults too) and retries, bounded by
         :data:`~repro.params.LINEAGE_RESCUE_MAX_FAILOVERS`.  Without a
         lineage the error propagates exactly as before.
+
+        With no tracer enabled and no lineage armed this hands back the
+        one fetch attempt itself, one frame fewer on every resume.
         """
         tracer = self.env.tracer
+        if self.lineage is None and (tracer is None or not tracer.enabled):
+            return self._fetch_body(task, vma, vpn, pte, _demand, None)
+        return self._fetch_guarded(task, vma, vpn, pte, _demand, tracer)
+
+    def _fetch_guarded(self, task, vma, vpn, pte, _demand, tracer):
+        """:meth:`fetch` under a span or a lineage rescue loop.
+        Generator."""
         span = None
         if tracer is not None and tracer.enabled:
             span = tracer.start_span(

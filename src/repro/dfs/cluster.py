@@ -141,12 +141,13 @@ class CephLikeDfs:
         """Move bytes between client and OSD over the RDMA messenger."""
         if src_machine.machine_id == dst_machine.machine_id:
             return
-        wire = self.fabric.wire_latency(src_machine, dst_machine)
+        then = (params.RDMA_READ_LATENCY
+                + self.fabric.wire_latency(src_machine, dst_machine))
         src_nic = self.fabric.nics.get(src_machine.machine_id)
         if src_nic is not None:
             yield from self.fabric.stream(src_nic, nbytes,
-                                          dst_machine=dst_machine)
+                                          dst_machine=dst_machine, then=then)
         else:
             yield self.env.timeout(
                 params.transfer_time(nbytes, params.RDMA_BANDWIDTH))
-        yield self.env.timeout(params.RDMA_READ_LATENCY + wire)
+            yield self.env.timeout(then)

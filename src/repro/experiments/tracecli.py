@@ -49,10 +49,11 @@ def resume_cost(rig, descriptor, child):
     sockets = sum(1 for fd in descriptor.fd_specs if fd.kind == "socket")
     rebuild = sockets * params.SOCKET_RESTORE_LATENCY
     if rig.node(child.machine_id).transport == "rc":
+        # One RC connection per distinct remote elder machine.
         elders = [parent] + [m for m, _ in descriptor.predecessors]
-        remote = sum(1 for m in elders if m.machine_id != child.machine_id)
-        rebuild += remote * (params.RCQP_CREATE_LATENCY
-                             + params.RC_CONNECT_LATENCY)
+        remote = {m.machine_id for m in elders} - {child.machine_id}
+        rebuild += len(remote) * (params.RCQP_CREATE_LATENCY
+                                  + params.RC_CONNECT_LATENCY)
     return {
         "descriptor_query": (params.UD_RPC_BASE_LATENCY + 2 * wire
                              + params.DESCRIPTOR_LOOKUP_LATENCY

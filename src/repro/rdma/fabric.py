@@ -43,34 +43,47 @@ class RdmaFabric:
         """One-way propagation latency between two machines."""
         return self.cluster.wire_latency(src_machine, dst_machine)
 
-    def stream(self, source_nic, nbytes, extra_time=0.0, dst_machine=None):
-        """Occupy the source NIC's link while ``nbytes`` flow out of it.
+    def stream(self, source_nic, nbytes, extra_time=0.0, dst_machine=None,
+               then=0.0):
+        """Move ``nbytes`` out of the source NIC's link, then wait ``then``.
 
-        ``extra_time`` adds serialized per-transfer work at the source
-        (e.g. per-datagram packetization CPU).  Generator; callers add
-        their own propagation latency around it.
+        Generator.  ``extra_time`` adds serialized per-transfer work at
+        the source (e.g. per-datagram packetization CPU); ``then`` is the
+        latency the caller pays after the last byte leaves (a response or
+        propagation delay), slept in the same wake-up.
+
+        The link is a FCFS server whose service time (``nbytes`` at line
+        rate plus ``extra_time``) is known on arrival, so it keeps no
+        queue, only :attr:`Rnic.free_at`, the instant it next falls idle.
+        A transfer starts at ``max(now, free_at)``, pushes ``free_at`` to
+        its own end and sleeps once, until that end plus ``then``.  A
+        transfer admitted to the link runs to its end: an interrupted
+        sender stops waiting, but the link stays busy until then, as a
+        responder RNIC that never learns the requester gave up would.
 
         ``dst_machine`` names where the bytes land.  The point-to-point
         model ignores it (contention lives at the source NIC only); an
         armed :class:`~repro.fabricnet.FabricNetwork` charges the
         transfer against every shared link between the two hosts
-        instead of the egress token.
+        instead of the source link.
         """
-        if nbytes <= 0 and extra_time <= 0:
-            return
-        if self.net is not None and dst_machine is not None:
-            yield from self.net.transfer(source_nic.machine, dst_machine,
-                                         nbytes, extra_time=extra_time)
-            return
-        duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
-        # An idle link streams at once: no grant event to resume through.
-        egress = source_nic.egress
-        if not egress.try_acquire():
-            yield egress.acquire()
-        try:
-            yield self.env.timeout(duration + extra_time)
-        finally:
-            egress.release()
+        env = self.env
+        if nbytes > 0 or extra_time > 0:
+            if self.net is not None and dst_machine is not None:
+                yield from self.net.transfer(source_nic.machine, dst_machine,
+                                             nbytes, extra_time=extra_time)
+            else:
+                duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+                now = env.now
+                start = source_nic.free_at
+                if start < now:
+                    start = now
+                end = start + (duration + extra_time)
+                source_nic.free_at = end
+                yield env.timeout_at(end + then)
+                return
+        if then > 0:
+            yield env.timeout(then)
 
 
 class LoopbackFabric(RdmaFabric):

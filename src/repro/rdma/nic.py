@@ -20,8 +20,9 @@ class Rnic:
         self.env = env
         self.machine = machine
         self.fabric = fabric
-        #: Serializes outbound data streams (the contended link direction).
-        self.egress = Resource(env, capacity=1)
+        #: When the outbound link (the contended direction) next falls
+        #: idle: ``RdmaFabric.stream`` serves transfers on it FCFS.
+        self.free_at = 0.0
         #: RCQP creation is serialized and rate-limited on the NIC (§4.2).
         self._qp_factory = Resource(env, capacity=1)
         self.mrs = MrTable(env, machine)

@@ -172,8 +172,8 @@ class RcQp(_QpBase):
                     "MR check failed for rkey=%r addr=%#x len=%d"
                     % (rkey, addr, length))
             yield from fabric.stream(peer_nic, length,   # per-page payloads
-                                     dst_machine=self.nic.machine)
-            yield self.env.timeout((half + wire) * slow + extra)
+                                     dst_machine=self.nic.machine,
+                                     then=(half + wire) * slow + extra)
             self.nic.counters.incr("rc_read", npages)
             if npages > 1:
                 self.nic.counters.incr("rc_read_batches")
@@ -199,10 +199,10 @@ class RcQp(_QpBase):
             else:
                 slow, extra = yield from self._faulted_prologue(faults)
             wire = fabric.wire_latency(self.nic.machine, self.peer)
-            yield from fabric.stream(self.nic, length,  # data leaves our link
-                                     dst_machine=self.peer)
-            yield self.env.timeout(
-                (params.RDMA_READ_LATENCY + 2 * wire) * slow + extra)
+            yield from fabric.stream(
+                self.nic, length,  # data leaves our link
+                dst_machine=self.peer,
+                then=(params.RDMA_READ_LATENCY + 2 * wire) * slow + extra)
             self.nic.counters.incr("rc_write")
             return length
         finally:
@@ -310,8 +310,8 @@ class DcQp(_QpBase):
             yield from fabric.stream(
                 peer_nic,
                 npages * (page_bytes + params.DCT_EXTRA_HEADER_BYTES),
-                dst_machine=self.nic.machine)
-            yield self.env.timeout((half + wire) * slow + extra)
+                dst_machine=self.nic.machine,
+                then=(half + wire) * slow + extra)
             self.nic.counters.incr("dc_read", npages)
             if npages > 1:
                 self.nic.counters.incr("dc_read_batches")
@@ -363,9 +363,8 @@ class UdQp(_QpBase):
             yield from fabric.stream(
                 self.nic, nbytes,
                 extra_time=(chunks - 1) * params.UD_PACKET_OVERHEAD,
-                dst_machine=target_machine)
-            yield self.env.timeout(
-                (params.UD_RPC_BASE_LATENCY / 2.0 + wire) * slow + extra)
+                dst_machine=target_machine,
+                then=(params.UD_RPC_BASE_LATENCY / 2.0 + wire) * slow + extra)
             self.nic.counters.incr("ud_send")
             if faults is not None:
                 dst = target_machine.machine_id

@@ -86,6 +86,33 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when, value=None):
+        """An event that fires at the absolute time ``when`` (not before now).
+
+        For a wake-up computed as a sum of legs, such as
+        ``RdmaFabric.stream``'s ``(start + service) + then``: the relative
+        ``timeout(when - now)`` would fire at ``now + (when - now)``, which
+        float rounding can move off ``when``.  Shares :meth:`timeout`'s
+        pool and re-arms a pooled instance the same way.
+        """
+        delay = when - self._now
+        if delay < 0:
+            raise ValueError("wake-up %r is before now (%r)" % (when, self._now))
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._defused = False
+            timeout._abandon = None
+        else:
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+        timeout._ok = True
+        timeout._value = value
+        timeout._delay = delay
+        heappush(self._queue, (when, 1, next(self._eid), timeout))
+        return timeout
+
     def process(self, generator):
         """Start a new process driving ``generator``.
 

@@ -14,9 +14,8 @@ from .events import Event
 class Resource:
     """A counted resource with FIFO admission (a semaphore).
 
-    Processes ``yield resource.acquire()`` (or take a free slot at once
-    with :meth:`try_acquire`) and must call :meth:`release` exactly once
-    per grant.
+    Processes ``yield resource.acquire()`` and must call :meth:`release`
+    exactly once per grant.
     """
 
     def __init__(self, env, capacity=1):
@@ -47,18 +46,6 @@ class Resource:
             self._waiters.append(grant)
         grant._abandon = self._abandon_grant
         return grant
-
-    def try_acquire(self):
-        """Take a free slot now without scheduling an event: True if
-        taken; False, with nothing changed, when no slot is free.
-
-        A free slot implies an empty queue — :meth:`release` hands a slot
-        straight to the oldest waiter — so this never jumps a waiter.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
 
     def _abandon_grant(self, grant):
         """A waiter was interrupted: give its slot (or queue spot) back."""

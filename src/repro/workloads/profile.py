@@ -89,12 +89,13 @@ def execute(env, container, profile, extra_touch_vpns=None):
     page_table = space.page_table
     for vpn, write in plan:
         # Fast path: a present, directly writable page costs no simulated
-        # time (TLB hit); skip the generator machinery entirely.
+        # time (TLB hit); skip the generator machinery entirely.  A page
+        # that is not present traps straight into the fault handler.
         pte = page_table.entry(vpn)
-        if (pte is not None and pte.present
-                and not (write and (pte.cow or not pte.writable))):
-            continue
-        yield from kernel.touch(task, vpn, write=write)
+        if pte is None or not pte.present:
+            yield from kernel.handle_fault(task, vpn, write=write)
+        elif write and (pte.cow or not pte.writable):
+            yield from kernel.touch(task, vpn, write=write)
 
     # Fresh allocations (results, scratch buffers): demand-zero locally on
     # the first run; a warm container's allocator then reuses the same

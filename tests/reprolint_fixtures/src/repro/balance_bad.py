@@ -20,21 +20,6 @@ def good_finally(env, daemon):
         daemon.release()
 
 
-def bad_try_acquire_release_outside_finally(env, link):
-    if link.try_acquire():  # positive: a slot taken without an event
-        yield env.timeout(1.0)
-        link.release()
-
-
-def good_try_acquire_finally(env, link):
-    if not link.try_acquire():
-        yield link.acquire()
-    try:
-        yield env.timeout(1.0)
-    finally:
-        link.release()
-
-
 def good_with(lock):
     with lock.acquire():
         return 1

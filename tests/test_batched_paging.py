@@ -286,10 +286,11 @@ class TestPageAtATime:
             env, cluster, kernels, runtimes, deployment)
         before = env.events_processed
         run(env, kernels[1].touch(child.task, heap.start_vpn))
-        # Initialize, fault overhead, four wire/verb timeouts and the
-        # process's completion: neither an egress grant on the idle
-        # link nor a fetch-done marker nobody waits on.
-        assert env.events_processed - before == 7
+        # Initialize, fault overhead, three wire/verb timeouts (DCT
+        # reconnect, request, and the payload's transfer and response in
+        # one wake-up) and the process's completion: no link grant, no
+        # separate transfer timeout, no fetch-done marker nobody waits on.
+        assert env.events_processed - before == 6
         assert node1.pager.counters["rdma_reads"] == 1
 
     def test_concurrent_faulters_of_one_page_coalesce(self):

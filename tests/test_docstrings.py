@@ -75,9 +75,20 @@ def test_every_public_method_documented():
     assert not missing, "undocumented public methods: %s" % missing
 
 
-def _readme():
-    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+def _read(name):
+    with open(os.path.join(REPO, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def _readme():
+    return _read("README.md")
+
+
+def _section(text, heading):
+    """The body of the ``## `` section whose heading starts ``heading``."""
+    start = text.index("\n## " + heading)
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
 
 
 def _packages():
@@ -87,10 +98,20 @@ def _packages():
 
 
 def test_readme_architecture_names_every_package():
-    text = _readme()
-    start = text.index("\n## Architecture\n")
-    block = text[start:text.index("\n## ", start + 1)]
+    block = _section(_readme(), "Architecture\n")
     named = set(re.findall(r"^repro\.(\w+)", block, re.M))
+    assert named == _packages()
+
+
+def test_design_inventory_names_every_package():
+    block = _section(_read("DESIGN.md"), "2. System inventory")
+    named = set(re.findall(r"^\|[^|]*\| `repro\.(\w+)", block, re.M))
+    assert named == _packages()
+
+
+def test_design_layout_names_every_package():
+    block = _section(_read("DESIGN.md"), "5. Layout")
+    named = set(re.findall(r"^  (\w+)/", block, re.M))
     assert named == _packages()
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the simulated RDMA stack."""
 
+import math
+import statistics
+
 import pytest
 
 from repro import params
@@ -10,7 +13,7 @@ from repro.rdma import (
     RpcError,
     RpcRuntime,
 )
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, SeededStreams
 
 
 @pytest.fixture
@@ -26,49 +29,128 @@ def run(env, gen):
 
 
 class TestStream:
+    """The NIC link is a virtual-clock FCFS server: ``free_at`` is when
+    it next falls idle, and each transfer sleeps once."""
+
     def test_idle_link_streams_at_once_busy_link_queues(self, rig):
         env, cluster, fabric = rig
         nic = fabric.nic_of(cluster.machine(0))
         nbytes = 64 * params.PAGE_SIZE
         duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+        then = params.RDMA_READ_LATENCY
         done = []
 
         def sender(tag):
-            yield from fabric.stream(nic, nbytes)
+            yield from fabric.stream(nic, nbytes, then=then)
             done.append((tag, env.now))
 
-        env.process(sender("first"))
-        env.process(sender("second"))
+        senders = ("first", "second", "third")
+        for tag in senders:
+            env.process(sender(tag))
         env.run()
-        assert done == [("first", pytest.approx(duration)),
-                        ("second", pytest.approx(2 * duration))]
-        # Two Initializes, two transfer timeouts, two completions and
-        # one grant: only the sender that found the link busy waited on
-        # an event for it.
-        assert env.events_processed == 7
-        assert (nic.egress.in_use, nic.egress.queued) == (0, 0)
+        # Back to back: the k-th transfer ends at k*d, and its sender
+        # wakes ``then`` later, each end the same float sum the link's
+        # clock advances by.
+        expected, end = [], 0.0
+        for tag in senders:
+            end = end + duration
+            expected.append((tag, end + then))
+        assert done == expected
+        assert nic.free_at == end
+        # Per sender: its Initialize, ONE wire wake-up and its completion.
+        assert env.events_processed == 3 * len(senders)
 
-    def test_interrupt_mid_stream_on_idle_link_frees_it(self, rig):
+    def test_interrupted_transfer_runs_to_its_end(self, rig):
         env, cluster, fabric = rig
         nic = fabric.nic_of(cluster.machine(0))
+        nbytes = 64 * params.PAGE_SIZE
+        duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
 
-        def sender():
+        def first():
             try:
-                yield from fabric.stream(nic, 64 * params.PAGE_SIZE)
+                yield from fabric.stream(nic, nbytes)
             except Interrupt:
                 return env.now
 
-        proc = env.process(sender())
+        def later():
+            yield env.timeout(6.0)
+            yield from fabric.stream(nic, nbytes)
+            return env.now
+
+        proc = env.process(first())
+        late = env.process(later())
 
         def interrupter():
             yield env.timeout(5.0)  # the transfer takes ~21 us
-            assert nic.egress.in_use == 1
             proc.interrupt()
 
         env.process(interrupter())
         env.run()
+        # The sender stops waiting at once ...
         assert proc.value == 5.0
-        assert (nic.egress.in_use, nic.egress.queued) == (0, 0)
+        # ... but the link finishes the transfer it admitted: the later
+        # sender starts at the first transfer's scheduled end.
+        assert late.value == duration + duration
+        assert nic.free_at == late.value
+
+
+class TestLinkQueue:
+    """NIC egress against its closed form: an M/D/1 queue."""
+
+    RHO = 0.7
+    NBYTES = 16 * params.PAGE_SIZE
+    REPLICATIONS = 30
+    ARRIVALS = 3000
+    WARMUP = 200
+
+    def _mean_wait(self, seed):
+        """One seeded replication: Poisson arrivals of fixed-size
+        transfers into one idle NIC; the mean queueing wait of every
+        transfer after the warm-up."""
+        env = Environment()
+        cluster = Cluster(env, num_machines=2, num_racks=1)
+        fabric = RdmaFabric(env, cluster)
+        nic = fabric.nic_of(cluster.machine(0))
+        service = params.transfer_time(self.NBYTES, params.RDMA_BANDWIDTH)
+        streams = SeededStreams(seed)
+        waits = []
+
+        def sender(index):
+            arrived = env.now
+            yield from fabric.stream(nic, self.NBYTES)
+            if index >= self.WARMUP:
+                waits.append(env.now - arrived - service)
+
+        def source():
+            for index in range(self.ARRIVALS):
+                yield env.timeout(
+                    streams.exponential("arrivals", service / self.RHO))
+                env.process(sender(index))
+
+        env.process(source())
+        env.run()
+        return statistics.fmean(waits), service
+
+    def test_md1_mean_wait_matches_pollaczek_khinchine(self):
+        """Mean wait = rho*d / (2(1-rho)) for deterministic service d.
+
+        Tolerance from the sample size: the replications draw from
+        independent seeds, so their means are i.i.d. and the grand
+        mean's standard error is their spread over sqrt(R).  Four
+        standard errors bound a false failure below 0.1% (Student t,
+        29 df); the error itself must stay under 3% of the closed form,
+        so the bound cannot pass by being wide.  Warm-up arrivals are
+        dropped because every replication starts on an empty link.
+        """
+        means = []
+        for seed in range(self.REPLICATIONS):
+            mean, service = self._mean_wait(seed)
+            means.append(mean)
+        closed_form = self.RHO * service / (2.0 * (1.0 - self.RHO))
+        grand = statistics.fmean(means)
+        stderr = statistics.stdev(means) / math.sqrt(self.REPLICATIONS)
+        assert stderr < 0.03 * closed_form
+        assert abs(grand - closed_form) <= 4.0 * stderr
 
 
 class TestRcQp:

@@ -325,58 +325,6 @@ class TestResource:
         obs = env.process(observer())
         assert env.run(obs) == (1, 1)
 
-    def test_try_acquire_takes_free_slot_without_event(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        assert res.try_acquire() is True
-        assert (res.in_use, res.queued) == (1, 0)
-        assert env.peek() == float("inf")  # nothing scheduled
-
-    def test_try_acquire_on_full_resource_changes_nothing(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        assert res.try_acquire()
-        assert res.try_acquire() is False
-        assert (res.in_use, res.queued) == (1, 0)
-        assert env.peek() == float("inf")
-
-    def test_try_acquire_never_jumps_a_waiter(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        assert res.try_acquire()
-        grant = res.acquire()
-        assert not grant.triggered and res.queued == 1
-        assert not res.try_acquire()
-        res.release()  # the slot goes to the waiter, not back to the pool
-        assert grant.triggered
-        assert (res.in_use, res.queued) == (1, 0)
-        assert not res.try_acquire()
-
-    def test_release_hands_try_acquired_slot_to_oldest_waiter(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def waiter(tag):
-            yield res.acquire()
-            order.append((tag, env.now))
-            yield env.timeout(1.0)
-            res.release()
-
-        def holder():
-            assert res.try_acquire()
-            try:
-                yield env.timeout(5.0)
-            finally:
-                res.release()
-
-        env.process(holder())
-        env.process(waiter("first"))
-        env.process(waiter("second"))
-        env.run()
-        assert order == [("first", 5.0), ("second", 6.0)]
-        assert (res.in_use, res.queued) == (0, 0)
-
 
 class TestStore:
     def test_put_then_get(self):

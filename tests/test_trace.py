@@ -524,6 +524,29 @@ class TestClosedForm:
                 warm_cost[phase] + 2 * wire, rel=1e-12)
 
 
+    def test_rc_lineage_connects_once_per_elder_machine(self):
+        """m0 -> m1 -> m0 -> m1 over RC: the third child's elders are m0,
+        m1 and m0 again, and it pays one RC setup (to m0), not two."""
+        rig = PrimitiveRig(num_machines=3, num_dfs_osds=1, transport="rc")
+        container = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+        for here, there in ((0, 1), (1, 0)):
+            def hop(container=container, here=here, there=there):
+                meta = yield from rig.node(here).fork_prepare(container)
+                return (yield from rig.node(there).fork_resume(meta))
+            container = rig.run(hop())
+        _, fork_span, expected = tracecli.trace_fork(rig, container,
+                                                     rig.machine(1))
+        _, worst = tracecli.cross_check(fork_span, expected)
+        assert worst <= tracecli.CROSS_CHECK_TOLERANCE
+        assert expected["rebuild"] == (params.RCQP_CREATE_LATENCY
+                                       + params.RC_CONNECT_LATENCY)
+        assert round(fork_span.duration / params.MS, 3) == 15.837
+        # One RC connection per resume (m1 to m0, m0 to m1, m1 to m0),
+        # each created on both of its NICs.
+        assert [rig.machine(m).nic.counters["rcqp_created"]
+                for m in (0, 1)] == [3, 3]
+
+
 class TestTraceCliSmoke:
     def test_smoke_report_and_artifacts(self, tmp_path):
         out_json = str(tmp_path / "TRACE_fork.json")

@@ -224,8 +224,7 @@ def no_raw_pte_mutation(f):
 
 # --- acquire-release-balance --------------------------------------------------
 
-_PAIRS = {"acquire": "release", "try_acquire": "release",
-          "charge": "uncharge"}
+_PAIRS = {"acquire": "release", "charge": "uncharge"}
 
 
 def _finally_subtrees(func):
@@ -252,10 +251,10 @@ def _with_subtrees(func):
 
 @rule("acquire-release-balance")
 def acquire_release_balance(f):
-    """Every ``.acquire()``/``.try_acquire()``/``.charge()`` in a
-    function needs a matching ``.release()``/``.uncharge()`` on the same
-    receiver reached on all exits (a ``finally:`` block) or a context
-    manager — otherwise one raised fault leaks the slot forever."""
+    """Every ``.acquire()``/``.charge()`` in a function needs a matching
+    ``.release()``/``.uncharge()`` on the same receiver reached on all
+    exits (a ``finally:`` block) or a context manager — otherwise one
+    raised fault leaks the slot forever."""
     for func in _walk_functions(f.tree):
         in_finally = _finally_subtrees(func)
         in_with = _with_subtrees(func)
