@@ -22,6 +22,14 @@ run.  Prefetch windows ride the same runs.  Sharing, coalescing,
 hedging, breakers, and every fallback apply to a run as to one page,
 and a run whose READ fails degrades to runs of one, each taking the
 exact fallback a single fault takes.
+
+A one-page fault on the fail-free DC path (no span open, no RC
+override, no hedging, no injected faults, no shared fabric) is the
+simulator's unit of work, so :meth:`RemotePager._fetch_body` serves it
+inline: the timeouts ``DcQp`` would schedule, in the same order, with no
+QP or link generator below it.  Every other fetch goes through
+:meth:`RemotePager._fetch_remote`, the reference the inline read must
+match (``tests/test_golden.py`` runs every rig traced, which takes it).
 """
 
 import os
@@ -226,7 +234,13 @@ class RemotePager:
                 span.end()
 
     def _fetch_body(self, task, vma, vpn, pte, _demand, span):
-        """One fetch attempt against the current owner slot.  Generator."""
+        """One fetch attempt against the current owner slot.  Generator.
+
+        A shared-cache hit or a coalesced wait is served here, a
+        fault-around run goes to :meth:`fetch_range`, and a lone page is
+        read inline when only the default wire is armed, else by
+        :meth:`_fetch_remote`.
+        """
         owner_machine, owner_desc = self._owner_of(task, pte)
         if _demand and self.prefetch_depth > 0:
             self.env.process(self._prefetch_window(task, vma, vpn))
@@ -281,20 +295,63 @@ class RemotePager:
                     return (yield from self.fetch_range(
                         task, vma, vpn, n, _demand=_demand))
 
+        env = self.env
         fetch_done = None
         if self.enable_sharing:
-            fetch_done = self.env.event()
+            fetch_done = env.event()
             self._inflight[key] = fetch_done
         try:
-            content = yield from self._fetch_remote(
-                task, vma, vpn, (pte,), owner_machine, owner_desc)
+            vd = owner_desc.find_vma(vpn)
+            nic = self.net_daemon.nic
+            fabric = nic.fabric
+            if (span is not None or vd is None or vd.dct_target_id is None
+                    or fabric.faults is not None or fabric.net is not None
+                    or self.resilience is not None
+                    or getattr(task, "_mitosis_rcqps", None) is not None):
+                content = yield from self._fetch_remote(
+                    task, vma, vpn, (pte,), owner_machine, owner_desc)
+                return content
+            # Only the default wire is armed: read the page here, with no
+            # generator below this one, as DcQp._read reads one page at
+            # (slow, extra) = (1.0, 0.0).  Every float is formed as _read
+            # forms it and the elided terms are exact identities, so the
+            # events are the general path's.
+            target_id, target_key = vd.dct_target_id, vd.dct_key
+            dcqp = self.net_daemon.dcqp()
+            peer_nic = fabric.nic_of(owner_machine)
+            response = (params.RDMA_READ_LATENCY / 2.0
+                        + fabric.wire_latency(self.machine, owner_machine))
+            if target_id != dcqp.last_target_id:
+                yield env.timeout(params.DCT_RECONNECT_LATENCY)
+                dcqp.last_target_id = target_id
+            yield env.timeout(response + params.DCT_REQUEST_OVERHEAD)
+            if not peer_nic.admits_dct(target_id, target_key):
+                yield env.timeout(response)  # the NAK
+                nic.counters.incr("dc_read_rejected")
+                self._count_fallback("revocation_fallback", vpn)
+            else:
+                yield env.timeout_at(
+                    peer_nic.occupy(params.PAGE_SIZE
+                                    + params.DCT_EXTRA_HEADER_BYTES)
+                    + response)
+                nic.counters.incr("dc_read")
+                content = self._resolve_content(owner_machine, owner_desc,
+                                                vpn)
+                if content is not None:
+                    self.counters.incr("rdma_reads")
+                    self._install(task, pte, vma, content, owner_desc.uid,
+                                  vpn)
+                    return content
+                self._count_fallback("race_fallback", vpn)
+            content = yield from self.fetch_fallback(task, vma, vpn, pte)
+            self._install(task, pte, vma, content, owner_desc.uid, vpn)
+            return content
         finally:
             if fetch_done is not None:
                 self._inflight.pop(key, None)
                 # Popped, the marker is unreachable: wake coalescers only.
                 if fetch_done.callbacks:
                     fetch_done.succeed()
-        return content
 
     # reprolint: hot-path
     def _fetch_remote(self, task, vma, vpn, ptes, owner_machine, owner_desc):
@@ -728,7 +785,7 @@ class RemotePager:
                 content = yield from self.rpc.call(
                     self.machine, owner_machine, "mitosis.fallback_page",
                     args,
-                    request_bytes=64,
+                    request_bytes=params.FALLBACK_RPC_REQUEST_BYTES,
                     deadline=deadline, retries=self._rpc_retries,
                     budget=budget)
             except (RpcTimeout, ConnectionError_) as exc:

@@ -15,6 +15,10 @@ Two rigs:
    (:func:`repro.sanitizers.check_traces`) and exported as Chrome
    ``trace_event`` JSON (load it at https://ui.perfetto.dev) plus a
    compact text tree.
+
+:func:`fault_cost` prices every page-fault path of docs/INTERNALS.md §3
+the same way :func:`resume_cost` prices the resume phases; tier-1 times
+one fault of each path against it.
 """
 
 from .. import params
@@ -67,6 +71,46 @@ def resume_cost(rig, descriptor, child):
         "containerize": (params.LEAN_CONTAINERIZATION
                          + params.DESCRIPTOR_RESTORE_BASE),
         "rebuild": rebuild,
+    }
+
+
+def fault_cost(wire=0.0, reconnect=False):
+    """Closed-form ``{path: us}`` of one uncontended page fault on an
+    idle rig, from the constants docs/INTERNALS.md §3 names.
+
+    ``wire`` is the one-way wire latency between the faulting machine
+    and the page's owner (0 within a rack).  With ``reconnect`` the
+    paths that post a DC READ pay ``DCT_RECONNECT_LATENCY`` first: the
+    round-robin DCQP last read another target.
+
+    * ``shared_hit`` — COW-map a sibling's frame from the shared cache;
+    * ``read`` — one one-sided DC READ of the page;
+    * ``nak_fallback`` — the READ is NAKed (the target was revoked) and
+      the fallback daemon serves the page from the shadow over UD RPC;
+    * ``nak_fallback_swapped`` — the same, with the page in swap;
+    * ``demand_zero`` — stack/heap growth, no network.
+    """
+    def t(nbytes):
+        return params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+
+    fault = params.PAGE_FAULT_OVERHEAD
+    request = (params.RDMA_READ_LATENCY / 2.0 + wire
+               + params.DCT_REQUEST_OVERHEAD)
+    if reconnect:
+        request += params.DCT_RECONNECT_LATENCY
+    response = params.RDMA_READ_LATENCY / 2.0 + wire
+    fallback = (params.UD_RPC_BASE_LATENCY + 2 * wire
+                + t(params.FALLBACK_RPC_REQUEST_BYTES)
+                + params.FALLBACK_RPC_PAGE_LATENCY + t(params.PAGE_SIZE))
+    nak = fault + request + response + fallback
+    return {
+        "shared_hit": fault + params.SHARED_PAGE_COPY_LATENCY,
+        "read": (fault + request
+                 + t(params.PAGE_SIZE + params.DCT_EXTRA_HEADER_BYTES)
+                 + response),
+        "nak_fallback": nak,
+        "nak_fallback_swapped": nak + params.FALLBACK_STORAGE_PAGE_LATENCY,
+        "demand_zero": fault + params.FRAME_ALLOC_LATENCY,
     }
 
 

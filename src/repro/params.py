@@ -160,6 +160,8 @@ DESCRIPTOR_LOOKUP_LATENCY = 1.0 * US
 DESCRIPTOR_QUERY_REPLY_BYTES = 256
 #: Fallback-daemon RPC page read: slower than one-sided RDMA (§4.3).
 FALLBACK_RPC_PAGE_LATENCY = 12.0 * US
+#: The fallback page request on the wire: handler id, auth key and vpn.
+FALLBACK_RPC_REQUEST_BYTES = 64
 #: Loading a cold page from secondary storage in the fallback daemon.
 FALLBACK_STORAGE_PAGE_LATENCY = 80.0 * US
 #: Kernel threads per machine serving descriptor fetches + fallbacks (§6).

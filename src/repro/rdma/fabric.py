@@ -5,8 +5,6 @@ latency) and a data stream (serialized on the *data source's* link, which is
 where contention concentrates when thousands of children read one parent).
 """
 
-from .. import params
-
 from .nic import Rnic
 
 
@@ -52,14 +50,9 @@ class RdmaFabric:
         latency the caller pays after the last byte leaves (a response or
         propagation delay), slept in the same wake-up.
 
-        The link is a FCFS server whose service time (``nbytes`` at line
-        rate plus ``extra_time``) is known on arrival, so it keeps no
-        queue, only :attr:`Rnic.free_at`, the instant it next falls idle.
-        A transfer starts at ``max(now, free_at)``, pushes ``free_at`` to
-        its own end and sleeps once, until that end plus ``then``.  A
-        transfer admitted to the link runs to its end: an interrupted
-        sender stops waiting, but the link stays busy until then, as a
-        responder RNIC that never learns the requester gave up would.
+        The point-to-point model queues the transfer on the source NIC's
+        link (:meth:`Rnic.occupy`, the FCFS rule) and sleeps once, until
+        the transfer's end plus ``then``.
 
         ``dst_machine`` names where the bytes land.  The point-to-point
         model ignores it (contention lives at the source NIC only); an
@@ -73,14 +66,8 @@ class RdmaFabric:
                 yield from self.net.transfer(source_nic.machine, dst_machine,
                                              nbytes, extra_time=extra_time)
             else:
-                duration = params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
-                now = env.now
-                start = source_nic.free_at
-                if start < now:
-                    start = now
-                end = start + (duration + extra_time)
-                source_nic.free_at = end
-                yield env.timeout_at(end + then)
+                yield env.timeout_at(source_nic.occupy(nbytes, extra_time)
+                                     + then)
                 return
         if then > 0:
             yield env.timeout(then)

@@ -21,7 +21,7 @@ class Rnic:
         self.machine = machine
         self.fabric = fabric
         #: When the outbound link (the contended direction) next falls
-        #: idle: ``RdmaFabric.stream`` serves transfers on it FCFS.
+        #: idle: :meth:`occupy` serves transfers on it FCFS.
         self.free_at = 0.0
         #: RCQP creation is serialized and rate-limited on the NIC (§4.2).
         self._qp_factory = Resource(env, capacity=1)
@@ -32,6 +32,30 @@ class Rnic:
 
     def __repr__(self):
         return "<Rnic m%d>" % self.machine.machine_id
+
+    # --- Outbound link ---------------------------------------------------------
+    def occupy(self, nbytes, extra_time=0.0):
+        """Admit a transfer of ``nbytes`` to the outbound link; returns
+        the instant its last byte leaves.
+
+        The link is a FCFS server whose service time (``nbytes`` at line
+        rate plus ``extra_time`` of serialized per-transfer work) is
+        known on arrival, so it keeps no queue, only :attr:`free_at`.  A
+        transfer starts at ``max(now, free_at)`` and pushes ``free_at``
+        to its own end.  It runs to that end whatever its sender does
+        next: an interrupted sender stops waiting, but the link stays
+        busy, as a responder RNIC that never learns the requester gave
+        up would.  Schedules nothing; the caller sleeps until the
+        returned end plus whatever latency follows it.
+        """
+        start = self.free_at
+        now = self.env.now
+        if start < now:
+            start = now
+        end = start + (params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
+                       + extra_time)
+        self.free_at = end
+        return end
 
     # --- Queue pairs ---------------------------------------------------------
     def create_rc_qp(self, peer_machine):

@@ -219,7 +219,9 @@ class DcQp(_QpBase):
 
     def __init__(self, nic):
         super().__init__(nic)
-        self._last_target_id = None
+        #: The DC target this QP last connected to: a read to any other
+        #: target pays the reconnect first.
+        self.last_target_id = None
 
     def _faulted_prologue(self, faults, target_machine):
         """Port, path, degradation and lossy retransmits under an
@@ -292,11 +294,11 @@ class DcQp(_QpBase):
                     faults, target_machine)
             peer_nic = fabric.nic_of(target_machine)
             wire = fabric.wire_latency(self.nic.machine, target_machine)
-            if target_id != self._last_target_id:
+            if target_id != self.last_target_id:
                 if span is not None:
                     span.event("dct_reconnect", target=target_id)
                 yield self.env.timeout(params.DCT_RECONNECT_LATENCY * slow)
-                self._last_target_id = target_id
+                self.last_target_id = target_id
             half = params.RDMA_READ_LATENCY / 2.0
             yield self.env.timeout(
                 (half + wire + params.DCT_REQUEST_OVERHEAD

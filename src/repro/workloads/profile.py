@@ -58,14 +58,11 @@ class FunctionProfile:
 class ExecutionResult:
     """Measurements from one function execution."""
 
-    __slots__ = ("latency", "pages_touched", "faults_taken", "started_at",
-                 "finished_at")
+    __slots__ = ("latency", "pages_touched", "started_at", "finished_at")
 
-    def __init__(self, latency, pages_touched, faults_taken, started_at,
-                 finished_at):
+    def __init__(self, latency, pages_touched, started_at, finished_at):
         self.latency = latency
         self.pages_touched = pages_touched
-        self.faults_taken = faults_taken
         self.started_at = started_at
         self.finished_at = finished_at
 
@@ -85,7 +82,6 @@ def execute(env, container, profile, extra_touch_vpns=None):
     if extra_touch_vpns:
         plan.extend((vpn, False) for vpn in extra_touch_vpns)
 
-    faults_before = _fault_count(kernel)
     page_table = space.page_table
     for vpn, write in plan:
         # Fast path: a present, directly writable page costs no simulated
@@ -118,7 +114,6 @@ def execute(env, container, profile, extra_touch_vpns=None):
     return ExecutionResult(
         latency=finished_at - started_at,
         pages_touched=len(plan),
-        faults_taken=_fault_count(kernel) - faults_before,
         started_at=started_at,
         finished_at=finished_at,
     )
@@ -129,8 +124,3 @@ def _heap_vma(space):
         if vma.kind == VmaKind.HEAP:
             return vma
     raise ValueError("address space has no heap VMA")
-
-
-def _fault_count(kernel):
-    counts = kernel.counters.as_dict()
-    return sum(v for k, v in counts.items() if k.startswith("fault_"))

@@ -293,6 +293,40 @@ class TestPageAtATime:
         assert env.events_processed - before == 6
         assert node1.pager.counters["rdma_reads"] == 1
 
+    @pytest.mark.parametrize("traced, chain", [
+        (False, {"handle_fault", "_fetch_body"}),
+        (True, {"handle_fault", "_fetch_guarded", "_fetch_body",
+                "_fetch_remote", "_read", "stream"}),
+    ], ids=["untraced", "traced"])
+    def test_lone_remote_fault_generator_chain(self, traced, chain):
+        """Untraced, the pager reads the page inline: every resume of
+        the fault reaches ``handle_fault`` and ``_fetch_body`` and
+        nothing below.  Traced, it reads through ``_fetch_remote``, the
+        QP verb and the link."""
+        env, cluster, kernels, runtimes, deployment = build_rig()
+        if traced:
+            Tracer(env)
+        parent, meta, child, heap, node0, node1 = forked_child(
+            env, cluster, kernels, runtimes, deployment)
+        resumed = set()
+        queue = env._queue
+
+        def wrap(step):
+            def recording_step():
+                for callback in queue[0][3].callbacks or ():
+                    generator = getattr(getattr(callback, "__self__", None),
+                                        "_generator", None)
+                    while generator is not None:
+                        resumed.add(generator.gi_code.co_name)
+                        generator = generator.gi_yieldfrom
+                step()
+            return recording_step
+
+        env.instrument_step(wrap)
+        run(env, kernels[1].handle_fault(child.task, heap.start_vpn))
+        assert resumed == chain
+        assert node1.pager.counters["rdma_reads"] == 1
+
     def test_concurrent_faulters_of_one_page_coalesce(self):
         env, cluster, kernels, runtimes, deployment = build_rig()
         parent, meta, child, heap, node0, node1 = forked_child(

@@ -35,6 +35,12 @@ default path's simulated behaviour moved.
 way: every claim's paper value, measured string and grade, by claim
 name.
 
+Every rig and ``validate`` run once more with ``REPRO_TRACE=1`` and must
+match the same files: tracing observes the simulation and must not
+change it.  A traced page fault reads through the pager's general path,
+an untraced one inline, so the traced run also holds the two to the
+same event stream.
+
 The tests only compare; rewriting the files is the explicit step
 ``PYTHONPATH=src python tests/golden/regen.py``, and a change that does
 it must say why in CHANGES.md.
@@ -312,20 +318,26 @@ def golden_path(name):
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
-def measure(name):
-    """Run rig ``name`` and return the values its golden file pins."""
+def _measure(name):
+    """Run rig ``name``; returns its cluster and the values its golden
+    file pins."""
     steps, snapshots = hashlib.sha256(), hashlib.sha256()
     fn, records = RIGS[name](steps, snapshots)
     digest = hashlib.sha256()
     for record in records:
         digest.update(repr(record).encode())
         digest.update(b"\n")
-    return {"events_processed": fn.env.events_processed,
-            "now": fn.env.now,
-            "records": len(records),
-            "records_sha256": digest.hexdigest(),
-            "snapshots_sha256": snapshots.hexdigest(),
-            "steps_sha256": steps.hexdigest()}
+    return fn, {"events_processed": fn.env.events_processed,
+                "now": fn.env.now,
+                "records": len(records),
+                "records_sha256": digest.hexdigest(),
+                "snapshots_sha256": snapshots.hexdigest(),
+                "steps_sha256": steps.hexdigest()}
+
+
+def measure(name):
+    """Run rig ``name`` and return the values its golden file pins."""
+    return _measure(name)[1]
 
 
 def measure_validate():
@@ -353,6 +365,35 @@ def test_default_path_matches_golden(name, default_path):
 
 
 def test_validate_matches_golden(default_path):
+    with open(golden_path("validate")) as handle:
+        golden = json.load(handle)
+    assert measure_validate() == golden
+
+
+@pytest.fixture
+def traced_path(default_path, monkeypatch):
+    """The default path with ``REPRO_TRACE=1``: every rig installs an
+    enabled tracer, so every span site and the general page-read path
+    (the one a traced fault takes) run."""
+    monkeypatch.setenv("REPRO_TRACE", "1")
+
+
+@pytest.mark.parametrize("name", sorted(RIGS))
+def test_tracing_does_not_change_the_simulation(name, traced_path):
+    """A traced rig pins what the untraced one does, event for event.
+
+    A traced one-page fault reads through ``RemotePager._fetch_remote``
+    and the QP verbs, an untraced one inline, so this also holds the
+    inline read to the general path on every rig."""
+    with open(golden_path(name)) as handle:
+        golden = json.load(handle)
+    fn, pinned = _measure(name)
+    tracer = fn.env.tracer
+    assert tracer is not None and tracer.enabled and tracer.spans
+    assert pinned == golden
+
+
+def test_tracing_does_not_change_validate(traced_path):
     with open(golden_path("validate")) as handle:
         golden = json.load(handle)
     assert measure_validate() == golden

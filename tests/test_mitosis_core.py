@@ -12,6 +12,7 @@ from repro.kernel import Kernel, KernelError, PageTable
 from repro.rdma import RdmaFabric, RpcError, RpcRuntime
 from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
+from repro.trace import Tracer
 
 
 def build_rig(num_machines=4, enable_sharing=True, transport="dct"):
@@ -380,6 +381,76 @@ class TestPassiveAccessControl:
         counters = run(env, body())
         assert counters["rdma_reads"] == 8
         assert counters.get("fallback_rpcs", 0) == 0
+
+    @staticmethod
+    def _reclaim_racing_a_read(traced):
+        """The parent reclaims a page after the child's READ of it was
+        admitted and before the READ completes.  Returns what the child
+        read, the final time, and the pager's and both NICs' counters.
+        """
+        env, cluster, runtimes, deployment = build_rig()
+        tracer = Tracer(env) if traced else None
+        parent = start_parent(env, runtimes[0])
+        kernel0 = runtimes[0].kernel
+        kernel1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap_vpn = parent.task.address_space.vmas[3].start_vpn
+
+        def fork():
+            yield from kernel0.write_page(parent.task, heap_vpn, "precious")
+            meta = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta)
+            return meta, child
+
+        meta, child = run(env, fork())
+        _, shadow = node0.service.lookup(meta.handler_id, meta.auth_key)
+        # Every DCQP reconnects, so the READ is admitted this long after
+        # the fault begins; it completes after its payload and response.
+        for qp in node1.net_daemon._dcqps:
+            qp.last_target_id = None
+        admitted = (params.PAGE_FAULT_OVERHEAD + params.DCT_RECONNECT_LATENCY
+                    + params.RDMA_READ_LATENCY / 2.0
+                    + params.DCT_REQUEST_OVERHEAD)
+
+        def reclaim_now(_event):
+            # Kernel.reclaim without its swap-out latency: revoke the
+            # VMA's target through the reclaim hooks, then swap out.
+            space = shadow.address_space
+            pte = space.page_table.entry(heap_vpn)
+            for hook in kernel0.reclaim_hooks:
+                hook(shadow, space.find_vma(heap_vpn), heap_vpn, pte)
+            kernel0.frames.unref(
+                pte.swap_out(kernel0.swap.put(pte.frame.content)))
+
+        def fault():
+            started = env.now
+            env.timeout(admitted + params.RDMA_READ_LATENCY / 4.0
+                        ).callbacks.append(reclaim_now)
+            content = yield from kernel1.touch(child.task, heap_vpn)
+            return content, env.now - started
+
+        content, elapsed = run(env, fault())
+        if tracer is not None:
+            served = [span.attrs.get("served_from") for span in tracer.spans
+                      if span.name == "daemon.fallback_page"]
+            assert served == ["swap"]
+        return (content, elapsed, env.now, node1.pager.counters.as_dict(),
+                [cluster.machine(m).nic.counters.as_dict() for m in (0, 1)])
+
+    def test_reclaim_racing_an_admitted_read_falls_back_to_swap(self):
+        """The frame vanishes mid-transfer: the child takes the race
+        fallback and reads the parent's page from swap, and the inline
+        read (untraced) and the general path (traced) agree."""
+        untraced = self._reclaim_racing_a_read(traced=False)
+        content, elapsed, _, counters, _ = untraced
+        assert content == "precious"
+        assert elapsed > params.FALLBACK_STORAGE_PAGE_LATENCY  # from swap
+        assert counters["race_fallbacks"] == 1
+        assert counters["fallback_rpcs"] == 1
+        assert counters.get("rdma_reads", 0) == 0
+        assert counters.get("revocation_fallbacks", 0) == 0
+        assert self._reclaim_racing_a_read(traced=True) == untraced
 
 
 class TestPageSharing:

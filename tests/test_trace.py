@@ -3,11 +3,13 @@
 Covers the tracer core (per-process span stacks, spawn inheritance),
 the critical-path analyzer (exact partition of a root's duration), both
 exporters, the trace sanitizer, the ``experiments trace`` rig with its
-analyzer-vs-closed-form check, and a hypothesis property that arbitrary
-interleaved spawn trees always produce a single well-formed span tree.
+analyzer-vs-closed-form check, every page-fault path against its closed
+form, and a hypothesis property that arbitrary interleaved spawn trees
+always produce a single well-formed span tree.
 """
 
 import json
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -18,6 +20,7 @@ from repro.cluster import Cluster
 from repro.experiments import tracecli
 from repro.experiments.rigs import PrimitiveRig
 from repro.faults import FaultInjector
+from repro.kernel import VmaKind
 from repro.sanitizers import SanitizerViolation, audit_traces, check_traces
 from repro.sim import Environment
 from repro.trace import (
@@ -545,6 +548,122 @@ class TestClosedForm:
         # each created on both of its NICs.
         assert [rig.machine(m).nic.counters["rcqp_created"]
                 for m in (0, 1)] == [3, 3]
+
+
+def _time_fault_paths(rig):
+    """Time one fault of each :func:`tracecli.fault_cost` path on an
+    idle ``rig``: a TC0 parent on m0 writes five heap pages and forks
+    two children onto m1; every fault runs alone.
+
+    Returns one ``(path, reconnect, us)`` per fault.  Whether a READ
+    reconnects is set by aiming every DCQP of m1 at the heap's target
+    (no reconnect) or at none (reconnect).
+    """
+    env = rig.env
+    k0, k1 = rig.kernel(0), rig.kernel(1)
+    node0, node1 = rig.node(0), rig.node(1)
+    parent = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+    heap = next(vma for vma in parent.task.address_space.vmas
+                if vma.kind == VmaKind.HEAP)
+    base = heap.start_vpn
+
+    def fork_two():
+        for i in range(5):
+            yield from k0.write_page(parent.task, base + i, "page%d" % i)
+        meta = yield from node0.fork_prepare(parent)
+        child = yield from node1.fork_resume(meta)
+        sibling = yield from node1.fork_resume(meta)
+        return meta, child, sibling
+
+    meta, child, sibling = rig.run(fork_two())
+    _, shadow = node0.service.lookup(meta.handler_id, meta.auth_key)
+    child_heap = child.task.address_space.find_vma(base)
+    target = child_heap.dct_target_id
+
+    def aim(target_id):
+        for qp in node1.net_daemon._dcqps:
+            qp.last_target_id = target_id
+
+    def fault(container, vpn):
+        start = env.now
+        yield from k1.handle_fault(container.task, vpn)
+        return env.now - start
+
+    rows = []
+    aim(None)
+    rows.append(("read", True, rig.run(fault(child, base))))
+    aim(target)
+    rows.append(("read", False, rig.run(fault(child, base + 1))))
+    rows.append(("shared_hit", False, rig.run(fault(sibling, base))))
+    grown = child_heap.end_vpn
+    child.task.address_space.grow(child_heap, 1)
+    rows.append(("demand_zero", False, rig.run(fault(child, grown))))
+    # The parent's kernel reclaims page 2: the heap's target is revoked
+    # and the page goes to swap.
+    rig.run(k0.reclaim(shadow, [base + 2]))
+    rows.append(("nak_fallback_swapped", False,
+                 rig.run(fault(child, base + 2))))
+    rows.append(("nak_fallback", False, rig.run(fault(child, base + 3))))
+    aim(None)
+    rows.append(("nak_fallback", True, rig.run(fault(child, base + 4))))
+    table = child.task.address_space.page_table
+    assert [table.entry(base + i).frame.content for i in range(5)] == [
+        "page%d" % i for i in range(5)]
+    return rows
+
+
+class TestFaultCost:
+    """Each fault path of INTERNALS §3 against :func:`tracecli.fault_cost`,
+    untraced (the pager's inline read) and traced (``_fetch_remote`` and
+    the QP verbs)."""
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("shape, wire", [
+        (dict(num_machines=3, num_dfs_osds=1), 0.0),
+        (dict(num_machines=4, num_racks=2), params.CROSS_RACK_EXTRA_LATENCY),
+    ], ids=["same_rack", "cross_rack"])
+    def test_each_fault_path_matches_closed_form(self, monkeypatch, shape,
+                                                 wire, traced):
+        for var in list(os.environ):
+            if var.startswith("REPRO_"):
+                monkeypatch.delenv(var)
+        rig = PrimitiveRig(**shape)
+        assert rig.cluster.wire_latency(rig.machine(1),
+                                        rig.machine(0)) == wire
+        if traced:
+            Tracer(rig.env)
+        rows = _time_fault_paths(rig)
+        assert {path for path, _, _ in rows} == set(tracecli.fault_cost())
+        for path, reconnect, measured in rows:
+            closed = tracecli.fault_cost(wire, reconnect)[path]
+            assert abs(measured - closed) <= 1e-9 * closed, (
+                path, reconnect, measured, closed)
+        counters = rig.node(1).pager.counters
+        assert [counters[name] for name in (
+            "rdma_reads", "shared_hits", "revocation_fallbacks",
+            "fallback_rpcs")] == [2, 1, 3, 3]
+        assert rig.machine(1).nic.counters["dc_read_rejected"] == 3
+
+    def test_same_rack_read_is_the_sum_of_its_legs(self):
+        """Fault overhead, half an RTT, the DCT overhead, one page's
+        payload with its DCT header, and half an RTT."""
+        assert tracecli.fault_cost()["read"] == pytest.approx(
+            0.8 + 1.0 + 0.2 + 4136 / params.RDMA_BANDWIDTH + 1.0,
+            rel=1e-12)
+
+    def test_internals_quotes_every_fault_cost(self):
+        """§3's Cost column prints :func:`tracecli.fault_cost`, so the
+        table cannot drift from the model."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "INTERNALS.md")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text[text.index("## 3."):text.index("## 4.")]
+        quoted = list(tracecli.fault_cost().values())
+        quoted.append(tracecli.fault_cost(reconnect=True)["read"])
+        for us in quoted:
+            assert "%.4f µs" % us in section, us
 
 
 class TestTraceCliSmoke:
