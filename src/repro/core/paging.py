@@ -44,6 +44,12 @@ from ..resilience import CircuitBreaker, HedgeTracker
 from ..sim import Interrupt
 
 
+#: The in-flight mark of a lone fetch nobody waits on yet: the first
+#: coalescer replaces it with the marker :class:`~repro.sim.Event` it
+#: waits on, so an uncontended fetch creates no event.
+_UNWATCHED = object()
+
+
 def default_batch_pages():
     """Resolve the batched-paging default: the ``REPRO_PAGER_BATCH``
     environment variable (pages per doorbelled range), else
@@ -88,38 +94,21 @@ class SharedPageCache:
     def __init__(self):
         self._frames = {}
         self._sweep_at = 0
-        self.hits = 0
-        self.misses = 0
 
-    def lookup(self, descriptor_uid, vpn):
-        """The cached live frame for (descriptor, vpn), or None; counts hit/miss."""
-        frame = self._frames.get((descriptor_uid, vpn))
-        if frame is not None and not frame.live:
-            del self._frames[(descriptor_uid, vpn)]
-            frame = None
-        if frame is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return frame
-
-    def peek(self, descriptor_uid, vpn):
-        """Like :meth:`lookup` but without hit/miss accounting.
-
-        The batched pager uses it to size a range: probing candidate
-        pages must not skew the cache statistics of pages never fetched.
-        """
-        key = (descriptor_uid, vpn)
+    def lookup(self, key):
+        """The cached live frame for ``key``, a ``(descriptor uid, vpn)``
+        pair, or None."""
         frame = self._frames.get(key)
         if frame is not None and not frame.live:
             del self._frames[key]
             return None
         return frame
 
-    def insert(self, descriptor_uid, vpn, frame):
-        """Cache a fetched frame under (descriptor, vpn)."""
+    def insert(self, key, frame):
+        """Cache a fetched frame under ``key``, a ``(descriptor uid,
+        vpn)`` pair."""
         frames = self._frames
-        frames[(descriptor_uid, vpn)] = frame
+        frames[key] = frame
         if len(frames) >= self._sweep_at:
             self._frames = {key: cached for key, cached in frames.items()
                             if cached.live}
@@ -169,11 +158,17 @@ class RemotePager:
         #: None until the cluster arms ``repro.connplane``: dead peers the
         #: pager observes get their pooled QPs invalidated early.
         self.connplane = None
-        #: (descriptor uid, vpn) -> Event: fault coalescing.  Concurrent
+        #: (descriptor uid, vpn) -> Event, or :data:`_UNWATCHED` for a
+        #: lone fetch nobody waits on yet: fault coalescing.  Concurrent
         #: children of one parent fault the same pages nearly in lockstep;
         #: the kernel serializes same-page faults so only one RDMA read
         #: flies and the rest reuse the arriving frame.
         self._inflight = {}
+        #: owner machine_id -> (its NIC, the response leg of a READ from
+        #: it): the inline read's route.  Racks are fixed at construction
+        #: and the inline read runs only with no injector and no shared
+        #: fabric, so a route never changes.
+        self._routes = {}
 
     def enable_resilience(self):
         """Arm the gray-failure defenses on this pager; returns them."""
@@ -246,10 +241,12 @@ class RemotePager:
             self.env.process(self._prefetch_window(task, vma, vpn))
         kernel = task.kernel
         key = (owner_desc.uid, vpn)
+        sharing = self.enable_sharing
 
-        if self.enable_sharing:
+        if sharing:
+            inflight = self._inflight
             while True:
-                frame = self.cache.lookup(owner_desc.uid, vpn)
+                frame = self.cache.lookup(key)
                 if frame is not None:
                     # Local reuse: COW-map the already-fetched frame
                     # (§4.3).  Take the reference before yielding so a
@@ -272,13 +269,15 @@ class RemotePager:
                     if span is not None:
                         span.set(served_from="shared_cache")
                     return frame.content
-                in_flight = self._inflight.get(key)
-                if in_flight is None:
+                marker = inflight.get(key)
+                if marker is None:
                     break
+                if marker is _UNWATCHED:
+                    marker = inflight[key] = self.env.event()
                 self.counters.incr("coalesced_faults")
                 if span is not None:
                     span.event("coalesced_wait")
-                yield in_flight
+                yield marker
 
         if self.batch_pages > 1:
             # Fault-around (§4.1 doorbell batching): size a contiguous
@@ -296,10 +295,8 @@ class RemotePager:
                         task, vma, vpn, n, _demand=_demand))
 
         env = self.env
-        fetch_done = None
-        if self.enable_sharing:
-            fetch_done = env.event()
-            self._inflight[key] = fetch_done
+        if sharing:
+            self._inflight[key] = _UNWATCHED
         try:
             vd = owner_desc.find_vma(vpn)
             nic = self.net_daemon.nic
@@ -318,9 +315,13 @@ class RemotePager:
             # events are the general path's.
             target_id, target_key = vd.dct_target_id, vd.dct_key
             dcqp = self.net_daemon.dcqp()
-            peer_nic = fabric.nic_of(owner_machine)
-            response = (params.RDMA_READ_LATENCY / 2.0
-                        + fabric.wire_latency(self.machine, owner_machine))
+            route = self._routes.get(owner_machine.machine_id)
+            if route is None:
+                route = self._routes[owner_machine.machine_id] = (
+                    fabric.nic_of(owner_machine),
+                    params.RDMA_READ_LATENCY / 2.0
+                    + fabric.wire_latency(self.machine, owner_machine))
+            peer_nic, response = route
             if target_id != dcqp.last_target_id:
                 yield env.timeout(params.DCT_RECONNECT_LATENCY)
                 dcqp.last_target_id = target_id
@@ -339,19 +340,18 @@ class RemotePager:
                                                 vpn)
                 if content is not None:
                     self.counters.incr("rdma_reads")
-                    self._install(task, pte, vma, content, owner_desc.uid,
-                                  vpn)
+                    self._install(task, pte, vma, content, key)
                     return content
                 self._count_fallback("race_fallback", vpn)
             content = yield from self.fetch_fallback(task, vma, vpn, pte)
-            self._install(task, pte, vma, content, owner_desc.uid, vpn)
+            self._install(task, pte, vma, content, key)
             return content
         finally:
-            if fetch_done is not None:
-                self._inflight.pop(key, None)
+            if sharing:
+                marker = self._inflight.pop(key)
                 # Popped, the marker is unreachable: wake coalescers only.
-                if fetch_done.callbacks:
-                    fetch_done.succeed()
+                if marker is not _UNWATCHED and marker.callbacks:
+                    marker.succeed()
 
     # reprolint: hot-path
     def _fetch_remote(self, task, vma, vpn, ptes, owner_machine, owner_desc):
@@ -414,8 +414,8 @@ class RemotePager:
                             task, vma, page, pte)
                     else:
                         self.counters.incr("rdma_reads")
-                    self._install(task, pte, vma, content, owner_desc.uid,
-                                  page)
+                    self._install(task, pte, vma, content,
+                                  (owner_desc.uid, page))
                     if page == vpn:
                         first = content
                     page += 1
@@ -448,7 +448,7 @@ class RemotePager:
             # later acquires rediscover it one by one.
             self.connplane.on_peer_dead(self.machine, owner_machine.machine_id)
         content = yield from self.fetch_fallback(task, vma, vpn, pte)
-        self._install(task, pte, vma, content, owner_desc.uid, vpn)
+        self._install(task, pte, vma, content, (owner_desc.uid, vpn))
         return content
 
     def _count_fallback(self, reason, vpn):
@@ -530,12 +530,13 @@ class RemotePager:
         n = 1
         while n < run_cap:
             nxt = table.entry(vpn + n)
+            key = (uid, vpn + n)
             if (nxt is None or nxt.present or not nxt.remote
                     or nxt.remote_pfn is None
                     or nxt.owner_index != pte.owner_index
-                    or (uid, vpn + n) in self._inflight
+                    or key in self._inflight
                     or (self.enable_sharing
-                        and self.cache.peek(uid, vpn + n) is not None)):
+                        and self.cache.lookup(key) is not None)):
                 break
             n += 1
         return n
@@ -844,7 +845,9 @@ class RemotePager:
             return None
         return shadow_pte.frame.content
 
-    def _install(self, task, pte, vma, content, descriptor_uid, vpn):
+    def _install(self, task, pte, vma, content, key):
+        """Map ``content`` into ``pte`` and cache the frame under ``key``,
+        the page's ``(descriptor uid, vpn)``."""
         # A fetch that lost a race with task exit (an async prefetch, or
         # a demand fetch stalled behind a congested fabric) must not map
         # fresh frames into the dead page table — teardown already swept
@@ -857,4 +860,4 @@ class RemotePager:
                               writable=vma.writable)
         pte.clear_remote()
         if self.enable_sharing:
-            self.cache.insert(descriptor_uid, vpn, frame)
+            self.cache.insert(key, frame)

@@ -128,7 +128,7 @@ class Kernel:
                     raise SegmentationFault(task, vpn << params.PAGE_SHIFT,
                                             "write to read-only page")
             return pte.frame.content
-        pte = yield from self.handle_fault(task, vpn, write=write)
+        pte = yield from self.handle_fault(task, vpn, write=write, pte=pte)
         return pte.frame.content
 
     def write_page(self, task, vpn, value):
@@ -141,9 +141,14 @@ class Kernel:
         pte.frame.content = value
         return value
 
-    def handle_fault(self, task, vpn, write=False):
+    def handle_fault(self, task, vpn, write=False, pte=None):
         """The page-fault handler (Table 2 dispatch).  Generator
-        returning the serviced PTE."""
+        returning the serviced PTE.
+
+        ``pte`` is the PTE the trapping access just read, if it read
+        one: a table never replaces a vpn's PTE object, so it is the one
+        :meth:`PageTable.ensure` would return, and the handler looks the
+        vpn up again only when given None."""
         yield self.env.timeout(params.PAGE_FAULT_OVERHEAD)
         space = task.address_space
         vma = space.find_vma(vpn)
@@ -154,7 +159,8 @@ class Kernel:
             self.counters.incr("fault_segv")
             raise SegmentationFault(task, vpn << params.PAGE_SHIFT,
                                     "write to read-only VMA")
-        pte = space.page_table.ensure(vpn)
+        if pte is None:
+            pte = space.page_table.ensure(vpn)
 
         if pte.present:
             if write and pte.cow:
@@ -172,7 +178,8 @@ class Kernel:
             content = yield from self.remote_pager.fetch(task, vma, vpn, pte)
             if not pte.present:  # pagers may install (COW-shared frames)
                 self._install(task, pte, vma, content)
-            pte.clear_remote()
+            if pte.remote:  # a pager's read install already cleared it
+                pte.clear_remote()
             if write and pte.cow:
                 yield from self._break_cow(task, vpn, pte)
             return pte
@@ -246,12 +253,16 @@ class Kernel:
         child.fd_table = {fd: d.clone() for fd, d in parent.fd_table.items()}
         child_space = child.address_space
         child_space.vmas = [vma.clone_for_child() for vma in space.vmas]
+        swap = self.swap
         for _, pte, child_pte in space.page_table.fork_into(
                 child_space.page_table):
             if pte.present:
                 child_pte.map_frame(self.frames.ref(pte.frame),
                                     writable=pte.writable, cow=True)
                 pte.share_cow()
+            elif pte.swap_slot is not None:
+                # A swap-in frees its slot: the child gets its own copy.
+                child_pte.set_swap_slot(swap.put(swap.get(pte.swap_slot)))
         child.predecessors = list(parent.predecessors)
         self.tasks[child.pid] = child
         return child

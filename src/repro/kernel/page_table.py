@@ -128,12 +128,18 @@ class Pte:
 
         Residency (present/frame/cow) is left alone — the forking kernel
         decides sharing via :meth:`map_frame`; the huge bit is not
-        inherited (a child's mappings start as 4 KB COW)."""
+        inherited (a child's mappings start as 4 KB COW); nor is a swap
+        slot, which the first swap-in frees: the forking kernel gives
+        the child a slot of its own (:meth:`set_swap_slot`)."""
         self.writable = other.writable
         self.remote = other.remote
         self.remote_pfn = other.remote_pfn
         self.owner_index = other.owner_index
-        self.swap_slot = other.swap_slot
+
+    def set_swap_slot(self, slot):
+        """Back this non-resident PTE by swap ``slot``, which no other
+        PTE may hold: a swap-in frees its slot (local fork)."""
+        self.swap_slot = slot
 
     def __repr__(self):
         bits = "".join((
@@ -147,9 +153,15 @@ class Pte:
 
 
 def _remote_pte(snap):
-    """A remote PTE for one descriptor snapshot entry (§4.3)."""
+    """A remote PTE for one descriptor snapshot entry (§4.3): what
+    :meth:`Pte.mark_remote` makes of a fresh PTE, fields set here."""
+    hop = snap.owner_hop
+    if not 0 <= hop <= params.MAX_FORK_HOPS:
+        raise Pte.owner_index_error(hop)
     pte = Pte()
-    pte.mark_remote(snap.remote_pfn, owner_hop=snap.owner_hop)
+    pte.remote = True
+    pte.remote_pfn = snap.remote_pfn
+    pte.owner_index = hop
     return pte
 
 
@@ -158,10 +170,11 @@ class PageTable:
 
     A resumed child's table sits over its descriptor's PTE snapshot map
     (:meth:`attach_snapshot`) instead of copying it: a snapshot vpn
-    missing from the local map becomes a real remote PTE, built through
-    :meth:`Pte.mark_remote`, the first time :meth:`entry` or
-    :meth:`ensure` sees it — read-on-access applied to the page table
-    itself.
+    missing from the local map becomes a real remote PTE, as
+    :meth:`Pte.mark_remote` would build it, the first time :meth:`entry`
+    or :meth:`ensure` sees it — read-on-access applied to the page table
+    itself.  A table never replaces the PTE object of a vpn, so a PTE
+    read once stays the vpn's PTE.
 
     ``len``, ``in``, :meth:`entries`, :meth:`remote_vpns` and
     :attr:`nbytes` see the whole overlay, in the order an eager copy

@@ -62,10 +62,6 @@ class DcTarget:
         """Deactivate the target; the RNIC NAKs future requests."""
         self.active = False
 
-    def admits(self, key):
-        """True if the target is active and the key matches."""
-        return self.active and key == self.key
-
     def credentials(self):
         """``(target_id, key)`` — the handle a remote DC QP presents.
 

@@ -136,6 +136,11 @@ class Rnic:
         self.counters.incr("dct_destroyed")
 
     def admits_dct(self, target_id, key):
-        """The responder-side connection check replacing MR checks."""
+        """The responder-side connection check replacing MR checks: the
+        target is active and ``key`` matches its key.  A reader usually
+        presents the target's own key object, so identity is tried
+        first."""
         target = self.dc_targets.get(target_id)
-        return target is not None and target.admits(key)
+        if target is None or not target.active:
+            return False
+        return key is target.key or key == target.key

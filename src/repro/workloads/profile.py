@@ -31,11 +31,28 @@ class FunctionProfile:
         for kind, fraction in self.touch_fractions.items():
             if not 0.0 <= fraction <= 1.0:
                 raise ValueError("bad fraction %r for %s" % (fraction, kind))
+        #: VMA layout -> access plan (:meth:`planned_touches`).
+        self._plans = {}
 
     def planned_touches(self, address_space):
-        """Deterministic (vpn, write) access plan over a container's VMAs."""
+        """Deterministic (vpn, write) access plan over a container's
+        VMAs, as a tuple.
+
+        A plan depends only on each VMA's ``(start_vpn, num_pages,
+        kind)``, so it is built once per such layout: every container of
+        one image shares it, and a grown heap gets a new one.
+        """
+        vmas = address_space.vmas
+        layout = tuple([(vma.start_vpn, vma.num_pages, vma.kind)
+                        for vma in vmas])
+        plan = self._plans.get(layout)
+        if plan is None:
+            plan = self._plans[layout] = self._plan(vmas)
+        return plan
+
+    def _plan(self, vmas):
         plan = []
-        for vma in address_space.vmas:
+        for vma in vmas:
             fraction = self.touch_fractions.get(vma.kind, 0.0)
             touched = int(round(vma.num_pages * fraction))
             writable_region = vma.kind in (VmaKind.HEAP, VmaKind.DATA,
@@ -44,7 +61,7 @@ class FunctionProfile:
                        if writable_region else 0)
             for i in range(touched):
                 plan.append((vma.start_vpn + i, i < written))
-        return plan
+        return tuple(plan)
 
     def touched_pages(self, address_space):
         """Number of pages one invocation touches in ``address_space``."""
@@ -80,16 +97,17 @@ def execute(env, container, profile, extra_touch_vpns=None):
 
     plan = profile.planned_touches(space)
     if extra_touch_vpns:
-        plan.extend((vpn, False) for vpn in extra_touch_vpns)
+        plan = plan + tuple((vpn, False) for vpn in extra_touch_vpns)
 
     page_table = space.page_table
     for vpn, write in plan:
         # Fast path: a present, directly writable page costs no simulated
         # time (TLB hit); skip the generator machinery entirely.  A page
-        # that is not present traps straight into the fault handler.
+        # that is not present traps straight into the fault handler,
+        # which takes the PTE read here.
         pte = page_table.entry(vpn)
         if pte is None or not pte.present:
-            yield from kernel.handle_fault(task, vpn, write=write)
+            yield from kernel.handle_fault(task, vpn, write=write, pte=pte)
         elif write and (pte.cow or not pte.writable):
             yield from kernel.touch(task, vpn, write=write)
 

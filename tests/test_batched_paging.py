@@ -56,6 +56,19 @@ def run(env, gen):
     return env.run(env.process(gen))
 
 
+def count_events(monkeypatch):
+    """Record every :meth:`Environment.event` made from now on."""
+    created = []
+    make = Environment.event
+
+    def event(env):
+        created.append(make(env))
+        return created[-1]
+
+    monkeypatch.setattr(Environment, "event", event)
+    return created
+
+
 class TestReadBatchVerbs:
     """QP-level doorbell batching: one request packet, per-page payloads."""
 
@@ -356,6 +369,41 @@ class TestPageAtATime:
         assert counters["shared_hits"] == 1
         assert finished["waiter"] == pytest.approx(
             finished["fetcher"] + params.SHARED_PAGE_COPY_LATENCY)
+
+    def test_lone_fetch_creates_no_in_flight_event(self, monkeypatch):
+        env, cluster, kernels, runtimes, deployment = build_rig()
+        parent, meta, child, heap, node0, node1 = forked_child(
+            env, cluster, kernels, runtimes, deployment)
+        created = count_events(monkeypatch)
+        run(env, kernels[1].touch(child.task, heap.start_vpn))
+        assert node1.pager.counters["rdma_reads"] == 1
+        assert created == []
+        assert node1.pager._inflight == {}
+
+    def test_coalesced_fetch_creates_one_in_flight_event(self, monkeypatch):
+        """The first faulter to wait on a lone fetch makes its marker;
+        the second waits on the same one, and the fetch wakes both."""
+        env, cluster, kernels, runtimes, deployment = build_rig()
+        parent, meta, child, heap, node0, node1 = forked_child(
+            env, cluster, kernels, runtimes, deployment)
+        siblings = [run(env, node1.fork_resume(meta)) for _ in range(2)]
+        vpn = heap.start_vpn
+        expected = run(env, kernels[0].touch(parent.task, vpn))
+        created = count_events(monkeypatch)
+
+        def body():
+            faults = [env.process(kernels[1].touch(container.task, vpn))
+                      for container in [child] + siblings]
+            yield env.all_of(faults)
+            return [fault.value for fault in faults]
+
+        assert run(env, body()) == [expected] * 3
+        assert len(created) == 1 and created[0].processed
+        counters = node1.pager.counters
+        assert counters["rdma_reads"] == 1
+        assert counters["coalesced_faults"] == 2
+        assert counters["shared_hits"] == 2
+        assert node1.pager._inflight == {}
 
 
 class TestRangeComposition:

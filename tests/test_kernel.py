@@ -217,6 +217,25 @@ class TestLocalFork:
         assert child_sees == "v1"
         assert parent_sees == "v2"
 
+    def test_swapped_page_survives_fork_for_parent_and_child(self, rig):
+        """A swap-in frees its slot, so a local fork gives the child a
+        slot of its own: the parent's swap-in leaves the child's copy."""
+        env, _, (k0, _) = rig
+        parent = make_task(k0)
+        heap = parent.address_space.vmas[1]
+
+        def body():
+            yield from k0.write_page(parent, heap.start_vpn, "precious")
+            yield from k0.reclaim(parent, [heap.start_vpn])
+            child = yield from k0.fork_local(parent)
+            parent_sees = yield from k0.touch(parent, heap.start_vpn)
+            child_sees = yield from k0.touch(child, heap.start_vpn)
+            return parent_sees, child_sees
+
+        assert run(env, body()) == ("precious", "precious")
+        assert k0.counters["fault_swap_in"] == 2
+        assert len(k0.swap) == 0
+
     def test_fork_costs_about_a_millisecond(self, rig):
         env, _, (k0, _) = rig
         parent = make_task(k0)

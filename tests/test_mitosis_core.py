@@ -13,6 +13,7 @@ from repro.rdma import RdmaFabric, RpcError, RpcRuntime
 from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
 from repro.trace import Tracer
+from repro.workloads import execute, tc0_profile
 
 
 def build_rig(num_machines=4, enable_sharing=True, transport="dct"):
@@ -232,6 +233,40 @@ class TestForkResume:
         assert content == "shared-42"
         assert resident == 1
 
+    def test_execute_and_touch_hand_the_fault_handler_their_pte(
+            self, rig, monkeypatch):
+        """A remote fault looks its snapshot page up once: ``execute``
+        and ``Kernel.touch`` pass the PTE they read to ``handle_fault``,
+        which calls ``PageTable.ensure`` only for the demand-zero pages
+        no caller holds a PTE for."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        code = parent.task.address_space.vmas[0]
+        ensured = []
+        ensure = PageTable.ensure
+
+        def counting_ensure(table, vpn):
+            ensured.append(vpn)
+            return ensure(table, vpn)
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta)
+            monkeypatch.setattr(PageTable, "ensure", counting_ensure)
+            yield from execute(env, child, tc0_profile())
+            # The plan touches 60% of the code VMA, not its last page.
+            yield from kernel1.touch(child.task, code.end_vpn - 1)
+            return child
+
+        child = run(env, body())
+        snapshot = child.task.address_space.page_table.snapshot
+        assert kernel1.counters["fault_remote"] > 0
+        assert ensured and [vpn for vpn in ensured if vpn in snapshot] == []
+        assert len(ensured) == kernel1.counters["fault_demand_zero"]
+
     def test_stack_growth_is_local(self, rig):
         env, cluster, runtimes, deployment = rig
         parent = start_parent(env, runtimes[0])
@@ -312,6 +347,31 @@ class TestPassiveAccessControl:
         assert content == "precious"
         node1 = deployment.node(cluster.machine(1))
         assert node1.pager.counters["revocation_fallbacks"] == 1
+        assert node1.pager.counters["fallback_rpcs"] == 1
+
+    def test_shadow_keeps_a_swapped_page_the_parent_swaps_back_in(self, rig):
+        """fork_prepare forks the shadow from a parent whose page sits in
+        swap: the parent's swap-in must not take the shadow's copy, which
+        the fallback daemon serves to the child."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel0 = runtimes[0].kernel
+        kernel1 = runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        heap_vpn = parent.task.address_space.vmas[3].start_vpn
+
+        def body():
+            yield from kernel0.write_page(parent.task, heap_vpn, "precious")
+            yield from kernel0.reclaim(parent.task, [heap_vpn])
+            meta = yield from node0.fork_prepare(parent)
+            parent_sees = yield from kernel0.touch(parent.task, heap_vpn)
+            child = yield from node1.fork_resume(meta)
+            child_sees = yield from kernel1.touch(child.task, heap_vpn)
+            return parent_sees, child_sees
+
+        assert run(env, body()) == ("precious", "precious")
+        assert kernel1.counters["fault_remote_rpc"] == 1
         assert node1.pager.counters["fallback_rpcs"] == 1
 
     def test_revocation_is_per_vma(self, rig):

@@ -645,6 +645,48 @@ class TestFaultCost:
             "fallback_rpcs")] == [2, 1, 3, 3]
         assert rig.machine(1).nic.counters["dc_read_rejected"] == 3
 
+    def test_one_pager_reads_from_owners_in_two_racks(self, monkeypatch):
+        """The inline read keeps one route per owner machine: m2 reads
+        from a parent on m0, in its rack, then from one on m1, across
+        the spine, then from m0 again, each at its own closed form."""
+        for var in list(os.environ):
+            if var.startswith("REPRO_"):
+                monkeypatch.delenv(var)
+        rig = PrimitiveRig(num_machines=4, num_racks=2)
+        k2, node2 = rig.kernel(2), rig.node(2)
+        image = tc0_profile().image
+
+        def fork_to_m2(owner):
+            parent = yield from rig.runtime(owner).cold_start(image)
+            meta = yield from rig.node(owner).fork_prepare(parent)
+            return (yield from node2.fork_resume(meta))
+
+        children = {owner: rig.run(fork_to_m2(owner)) for owner in (0, 1)}
+
+        def read(owner, vpn):
+            task = children[owner].task
+            target = task.address_space.find_vma(vpn).dct_target_id
+            for qp in node2.net_daemon._dcqps:
+                qp.last_target_id = target  # no reconnect
+            start = rig.env.now
+            yield from k2.handle_fault(task, vpn)
+            return rig.env.now - start
+
+        heap = next(vma for vma in children[0].task.address_space.vmas
+                    if vma.kind == VmaKind.HEAP)
+        wires = []
+        for owner, vpn in ((0, heap.start_vpn), (1, heap.start_vpn),
+                           (0, heap.start_vpn + 1)):
+            wire = rig.cluster.wire_latency(rig.machine(2),
+                                            rig.machine(owner))
+            wires.append(wire)
+            measured = rig.run(read(owner, vpn))
+            closed = tracecli.fault_cost(wire)["read"]
+            assert abs(measured - closed) <= 1e-9 * closed, (
+                owner, measured, closed)
+        assert wires == [0.0, params.CROSS_RACK_EXTRA_LATENCY, 0.0]
+        assert node2.pager.counters["rdma_reads"] == 3
+
     def test_same_rack_read_is_the_sum_of_its_legs(self):
         """Fault overhead, half an RTT, the DCT overhead, one page's
         payload with its DCT header, and half an RTT."""

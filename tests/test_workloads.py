@@ -67,6 +67,34 @@ class TestProfiles:
         assert first == second
         assert len(first) > 0
 
+    def test_plan_is_built_once_per_layout(self, rig):
+        """One plan per VMA layout: containers of one image share it, a
+        heap grown by ``new_heap_pages`` gets its own, and payload reads
+        never reach the cached plan."""
+        env, kernel, runtime = rig
+        profile = tc0_profile()
+
+        def body():
+            first = yield from runtime.cold_start(profile.image)
+            second = yield from runtime.cold_start(profile.image)
+            plan = profile.planned_touches(first.task.address_space)
+            shared = profile.planned_touches(second.task.address_space)
+            payload = [vpn for vpn, _ in plan[:3]]
+            result = yield from execute(env, first, profile,
+                                        extra_touch_vpns=payload)
+            return first, second, plan, shared, result
+
+        first, second, plan, shared, result = run(env, body())
+        assert type(plan) is tuple and shared is plan
+        assert result.pages_touched == len(plan) + 3
+        unchanged = profile.planned_touches(second.task.address_space)
+        assert unchanged is plan
+        assert unchanged == tc0_profile().planned_touches(
+            second.task.address_space)
+        grown = profile.planned_touches(first.task.address_space)
+        assert grown is not plan
+        assert grown == tc0_profile().planned_touches(first.task.address_space)
+
     def test_writes_only_in_writable_regions(self, rig):
         env, kernel, runtime = rig
         profile = tc0_profile()
