@@ -21,12 +21,13 @@ class NetworkDaemon:
         self.env = env
         self.nic = nic
         self._dcqps = [DcQp(nic) for _ in range(num_dcqps)]
+        self._num_dcqps = num_dcqps
         self._next = 0
 
     def dcqp(self):
         """A cached DC queue pair — zero connection cost at fork time."""
         qp = self._dcqps[self._next]
-        self._next = (self._next + 1) % len(self._dcqps)
+        self._next = (self._next + 1) % self._num_dcqps
         return qp
 
 
@@ -154,7 +155,7 @@ class DescriptorService:
         With leases armed, an over-due descriptor is expired lazily right
         here — the first access after its deadline reclaims it.
         """
-        if self._lease_expired(handler_id):
+        if self._leases and self._lease_expired(handler_id):
             self.expire(handler_id)
             return None
         entry = self._table.get(handler_id)
@@ -313,6 +314,10 @@ class DescriptorService:
             descriptor, shadow_task = entry
             vpn = args["vpn"]
             yield self.env.timeout(params.FALLBACK_RPC_PAGE_LATENCY)
+            # The descriptor may have been retired during a sleep: its
+            # shadow has exited and freed its frames and swap slots, so
+            # serve nothing from it.
+            self._check_shadow_alive(shadow_task)
             self._record_serve(args["handler_id"], "page")
             pte = shadow_task.address_space.page_table.entry(vpn)
             if pte is not None and pte.present:
@@ -321,6 +326,7 @@ class DescriptorService:
                 return pte.frame.content, params.PAGE_SIZE
             if pte is not None and pte.swap_slot is not None:
                 yield self.env.timeout(params.FALLBACK_STORAGE_PAGE_LATENCY)
+                self._check_shadow_alive(shadow_task)
                 if span is not None:
                     span.set(served_from="swap")
                 return (shadow_task.kernel.swap.get(pte.swap_slot),
@@ -332,6 +338,7 @@ class DescriptorService:
             # Never-loaded page (e.g. a file page the parent never touched):
             # load it from secondary storage.
             yield self.env.timeout(params.FALLBACK_STORAGE_PAGE_LATENCY)
+            self._check_shadow_alive(shadow_task)
             if span is not None:
                 span.set(served_from="storage")
             return ("m%d/storage/v%d" % (self.machine.machine_id, vpn),
@@ -339,6 +346,14 @@ class DescriptorService:
         finally:
             if span is not None:
                 span.end()
+
+    @staticmethod
+    def _check_shadow_alive(shadow_task):
+        """Reject a fallback whose shadow exited (its descriptor was
+        retired) while the daemon slept: the same :class:`RpcError` a
+        retired descriptor gets on arrival."""
+        if shadow_task.state == "dead":
+            raise RpcError("bad fork meta in fallback")
 
     def _handle_register(self, args):
         """Record a remote child (active control model bookkeeping)."""

@@ -94,13 +94,45 @@ _owner_hop = attrgetter("owner_hop")
 _MISSING = object()
 
 
-def max_owner_hop(snapshots):
-    """An upper bound on the owner hops a ``vpn -> PteSnapshot`` map
-    lists: exact for a plain dict, :attr:`DerivedSnapshots.max_hop`
-    for a derived one."""
-    if type(snapshots) is DerivedSnapshots:
-        return snapshots.max_hop
-    return max(map(_owner_hop, snapshots.values()), default=0)
+class SnapshotMap(dict):
+    """The read-only ``vpn -> PteSnapshot`` map of a descriptor prepared
+    from a container that was never resumed: a plain dict that carries
+    :attr:`max_hop`, the largest owner hop it lists, counted once, so
+    deriving from it scans nothing (:class:`DerivedSnapshots`).
+
+    Published maps are never written (reprolint's
+    ``snapshot-read-only``).  An entry added anyway, through any of
+    dict's writes, still counts toward the carried max, so
+    ``fork_prepare`` still rejects a hop beyond the PTE bits; an entry
+    whose ``owner_hop`` is rewritten in place is not seen."""
+
+    __slots__ = ("max_hop",)
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.max_hop = max(map(_owner_hop, self.values()), default=0)
+
+    def _count(self, snap):
+        if snap.owner_hop > self.max_hop:
+            self.max_hop = snap.owner_hop
+
+    def __setitem__(self, vpn, snap):
+        super().__setitem__(vpn, snap)
+        self._count(snap)
+
+    def setdefault(self, vpn, snap):
+        snap = super().setdefault(vpn, snap)
+        self._count(snap)
+        return snap
+
+    def update(self, *args, **kwargs):
+        # dict's C writes never call an overridden __setitem__.
+        super().update(*args, **kwargs)
+        self.max_hop = max(map(_owner_hop, self.values()), default=0)
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
 
 
 class DerivedSnapshots:
@@ -114,9 +146,11 @@ class DerivedSnapshots:
     entry with no PA.  So preparing the descriptor costs O(own), and an
     untouched page costs nothing until it is looked up.
 
-    Derived maps stack, one layer per hop, over the plain dict of the
+    Derived maps stack, one layer per hop, over the plain map of the
     first descriptor in the lineage.  A lookup walks the layers in one
-    call, summing the hop offset, and builds at most one entry.
+    call, summing the hop offset: :meth:`locate` answers the faulting
+    page table with ``(remote_pfn, owner_hop)`` and builds nothing,
+    :meth:`get` builds the entry.
     :meth:`items` lists the eager copy's order: the elder's order with
     own entries in place, then own vpns the elder lacks, in insertion
     order.  ``len`` is counted once, at construction.
@@ -155,23 +189,31 @@ class DerivedSnapshots:
         self._len = size
         #: Upper bound on every owner hop the map lists; fork_prepare
         #: rejects the map when it exceeds MAX_FORK_HOPS.
-        self.max_hop = max(own_hop, max_owner_hop(elder) + 1)
+        self.max_hop = max(own_hop, elder.max_hop + 1)
 
-    def get(self, vpn):
-        """The entry for ``vpn``, or None."""
+    def locate(self, vpn):
+        """``(remote_pfn, owner_hop)`` of the entry for ``vpn``, or None
+        where there is none: :meth:`get`'s fields, with no entry built."""
         hop = 0
         for layer in self._layers:
-            snap = layer.get(vpn, _MISSING)
-            if snap is not _MISSING:
+            if vpn in layer:
+                snap = layer[vpn]
                 break
             hop += 1
         else:
             snap = self._root.get(vpn)
-        if snap is None or hop == 0:
-            return snap
+        if snap is None:
+            return None
+        if hop == 0:
+            return snap.remote_pfn, snap.owner_hop
         if snap.remote_pfn is None:
-            return PteSnapshot(None)
-        return PteSnapshot(snap.remote_pfn, snap.owner_hop + hop)
+            return None, 0
+        return snap.remote_pfn, snap.owner_hop + hop
+
+    def get(self, vpn):
+        """The entry for ``vpn``, or None."""
+        found = self.locate(vpn)
+        return None if found is None else PteSnapshot(*found)
 
     def __contains__(self, vpn):
         for layer in self._layers:

@@ -21,7 +21,7 @@ from ..rdma.rpc import RpcTimeout
 from ..sim import Interrupt
 from .daemon import DescriptorService, NetworkDaemon
 from .descriptor import (ContainerDescriptor, DerivedSnapshots, PteSnapshot,
-                         VmaDescriptor, max_owner_hop)
+                         SnapshotMap, VmaDescriptor)
 from .paging import RemotePager
 
 
@@ -140,16 +140,18 @@ class Mitosis:
 
         # One entry per PTE the shadow built.  A resumed child's shadow
         # reads every other vpn from the child's snapshot map, one hop
-        # further up, without building it (DerivedSnapshots).
+        # further up, without building it (DerivedSnapshots).  Either
+        # map carries its max owner hop, so neither scans its elder.
         table = shadow.address_space.page_table
         own = {vpn: _pte_snapshot(pte) for vpn, pte in table.materialized()}
         elder = table.snapshot
         if elder is None:
-            pte_snapshots = {vpn: entry for vpn, entry in own.items()
-                             if entry is not None}
+            pte_snapshots = SnapshotMap(
+                (vpn, entry) for vpn, entry in own.items()
+                if entry is not None)
         else:
             pte_snapshots = DerivedSnapshots(own, elder)
-        hop = max_owner_hop(pte_snapshots)
+        hop = pte_snapshots.max_hop
         if hop > params.MAX_FORK_HOPS:  # a corrupt snapshot or PTE
             raise Pte.owner_index_error(hop)
 

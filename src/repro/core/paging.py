@@ -38,7 +38,7 @@ from .. import params
 from ..faults.errors import DeadlineExceeded, ParentUnreachable
 from ..lineage.errors import StaleGeneration
 from ..metrics import CounterSet
-from ..rdma import ConnectionError_, RemoteAccessError
+from ..rdma import ConnectionError_, RemoteAccessError, read_legs
 from ..rdma.rpc import RpcError, RpcTimeout
 from ..resilience import CircuitBreaker, HedgeTracker
 from ..sim import Interrupt
@@ -164,10 +164,9 @@ class RemotePager:
         #: the kernel serializes same-page faults so only one RDMA read
         #: flies and the rest reuse the arriving frame.
         self._inflight = {}
-        #: owner machine_id -> (its NIC, the response leg of a READ from
-        #: it): the inline read's route.  Racks are fixed at construction
-        #: and the inline read runs only with no injector and no shared
-        #: fabric, so a route never changes.
+        #: owner machine_id -> its route (:meth:`_route`), built on first
+        #: use.  Racks and descriptor services are fixed at construction,
+        #: so a route never changes.
         self._routes = {}
 
     def enable_resilience(self):
@@ -265,7 +264,7 @@ class RemotePager:
                     else:
                         pte.map_frame(shared, writable=vma.writable,
                                       cow=True)
-                    self.counters.incr("shared_hits")
+                    self.counters["shared_hits"] += 1
                     if span is not None:
                         span.set(served_from="shared_cache")
                     return frame.content
@@ -274,7 +273,7 @@ class RemotePager:
                     break
                 if marker is _UNWATCHED:
                     marker = inflight[key] = self.env.event()
-                self.counters.incr("coalesced_faults")
+                self.counters["coalesced_faults"] += 1
                 if span is not None:
                     span.event("coalesced_wait")
                 yield marker
@@ -304,42 +303,32 @@ class RemotePager:
             if (span is not None or vd is None or vd.dct_target_id is None
                     or fabric.faults is not None or fabric.net is not None
                     or self.resilience is not None
-                    or getattr(task, "_mitosis_rcqps", None) is not None):
+                    or task._mitosis_rcqps is not None):
                 content = yield from self._fetch_remote(
                     task, vma, vpn, (pte,), owner_machine, owner_desc)
                 return content
             # Only the default wire is armed: read the page here, with no
             # generator below this one, as DcQp._read reads one page at
-            # (slow, extra) = (1.0, 0.0).  Every float is formed as _read
-            # forms it and the elided terms are exact identities, so the
-            # events are the general path's.
+            # (slow, extra) = (1.0, 0.0), its legs taken from the route.
             target_id, target_key = vd.dct_target_id, vd.dct_key
             dcqp = self.net_daemon.dcqp()
-            route = self._routes.get(owner_machine.machine_id)
-            if route is None:
-                route = self._routes[owner_machine.machine_id] = (
-                    fabric.nic_of(owner_machine),
-                    params.RDMA_READ_LATENCY / 2.0
-                    + fabric.wire_latency(self.machine, owner_machine))
-            peer_nic, response = route
+            peer_nic, service, request, link, response = (
+                self._routes.get(owner_machine.machine_id)
+                or self._route(owner_machine))
             if target_id != dcqp.last_target_id:
                 yield env.timeout(params.DCT_RECONNECT_LATENCY)
                 dcqp.last_target_id = target_id
-            yield env.timeout(response + params.DCT_REQUEST_OVERHEAD)
+            yield env.timeout(request)
             if not peer_nic.admits_dct(target_id, target_key):
                 yield env.timeout(response)  # the NAK
-                nic.counters.incr("dc_read_rejected")
+                nic.counters["dc_read_rejected"] += 1
                 self._count_fallback("revocation_fallback", vpn)
             else:
-                yield env.timeout_at(
-                    peer_nic.occupy(params.PAGE_SIZE
-                                    + params.DCT_EXTRA_HEADER_BYTES)
-                    + response)
-                nic.counters.incr("dc_read")
-                content = self._resolve_content(owner_machine, owner_desc,
-                                                vpn)
+                yield env.timeout_at(peer_nic.occupy(link) + response)
+                nic.counters["dc_read"] += 1
+                content = self._resolve_content(service, owner_desc, vpn)
                 if content is not None:
-                    self.counters.incr("rdma_reads")
+                    self.counters["rdma_reads"] += 1
                     self._install(task, pte, vma, content, key)
                     return content
                 self._count_fallback("race_fallback", vpn)
@@ -398,13 +387,13 @@ class RemotePager:
                 reason = "dead_parent_fallback"
             else:
                 if n > 1:
-                    self.counters.incr("batched_reads")
-                    self.counters.incr("batched_read_pages", n)
+                    self.counters["batched_reads"] += 1
+                    self.counters["batched_read_pages"] += n
+                service = self._route(owner_machine)[1]
                 first = None
                 page = vpn
                 for pte in ptes:
-                    content = self._resolve_content(owner_machine, owner_desc,
-                                                    page)
+                    content = self._resolve_content(service, owner_desc, page)
                     if content is None:
                         # The frame vanished mid-transfer (reclaim raced
                         # the read): treat exactly like a NAK, for this
@@ -413,7 +402,7 @@ class RemotePager:
                         content = yield from self.fetch_fallback(
                             task, vma, page, pte)
                     else:
-                        self.counters.incr("rdma_reads")
+                        self.counters["rdma_reads"] += 1
                     self._install(task, pte, vma, content,
                                   (owner_desc.uid, page))
                     if page == vpn:
@@ -425,7 +414,7 @@ class RemotePager:
         # page, a run of one to the RPC fallback.
         if n > 1:
             if reason is not None:
-                self.counters.incr("batch_fallbacks")
+                self.counters["batch_fallbacks"] += 1
             first = None
             page = vpn
             for pte in ptes:
@@ -454,7 +443,7 @@ class RemotePager:
     def _count_fallback(self, reason, vpn):
         """Count ``reason + "s"`` and annotate ``reason``: one page fell
         back to the RPC path."""
-        self.counters.incr(reason + "s")
+        self.counters[reason + "s"] += 1
         tracer = self.env.tracer
         if tracer is not None and tracer.enabled:
             tracer.annotate(reason, vpn=vpn)
@@ -499,7 +488,7 @@ class RemotePager:
                     if fetch_done.callbacks:
                         fetch_done.succeed()
             if _demand:
-                self.counters.incr("fault_around_pages", n - 1)
+                self.counters["fault_around_pages"] += n - 1
             return content
         finally:
             if span is not None:
@@ -518,7 +507,7 @@ class RemotePager:
         run_cap = min(self.batch_pages, vma.end_vpn - vpn)
         if limit is not None:
             run_cap = min(run_cap, limit)
-        mem_limit = getattr(task.cgroup, "memory_limit", None)
+        mem_limit = task.cgroup.memory_limit
         if mem_limit is not None:
             headroom = (mem_limit - task.address_space.resident_bytes
                         ) // params.PAGE_SIZE
@@ -724,7 +713,7 @@ class RemotePager:
                     if fetched is not None and fetched.present:
                         if fetched.remote:
                             fetched.clear_remote()
-                        self.counters.incr("prefetched_pages")
+                        self.counters["prefetched_pages"] += 1
                 next_vpn += run
         finally:
             if span is not None:
@@ -774,7 +763,7 @@ class RemotePager:
                     deadline = min(params.RPC_DEFAULT_DEADLINE
                                    if deadline is None else deadline,
                                    remaining)
-            self.counters.incr("fallback_rpcs")
+            self.counters["fallback_rpcs"] += 1
             args = {"handler_id": owner_desc.handler_id,
                     "auth_key": owner_desc.auth_key,
                     "vpn": vpn}
@@ -811,29 +800,46 @@ class RemotePager:
     # --- Internals -----------------------------------------------------------------
     def _owner_of(self, task, pte):
         """Map the PTE's 4-bit owner index to (machine, descriptor) (§4.4)."""
-        index = pte.owner_index
-        if not task.predecessors:
-            raise LookupError("task %r has no fork lineage" % (task,))
-        if index >= len(task.predecessors):
+        predecessors = task.predecessors
+        try:
+            return predecessors[pte.owner_index]
+        except IndexError:
+            if not predecessors:
+                raise LookupError("task %r has no fork lineage" % (task,))
             raise LookupError(
                 "owner index %d beyond lineage depth %d"
-                % (index, len(task.predecessors)))
-        return task.predecessors[index]
+                % (pte.owner_index, len(predecessors)))
 
     def _rc_override(self, task, owner_machine):
-        rcqps = getattr(task, "_mitosis_rcqps", None)
+        rcqps = task._mitosis_rcqps
         if rcqps is None:
             return None
         return rcqps.get(owner_machine.machine_id)
 
-    def _resolve_content(self, owner_machine, owner_desc, vpn):
+    def _route(self, owner_machine):
+        """The route to ``owner_machine``, built on first use: ``(peer
+        NIC, its DescriptorService, then the request, one-page link time
+        and response (or NAK) legs of a fail-free one-page DC READ from
+        it, as :func:`~repro.rdma.read_legs` forms them)``."""
+        route = self._routes.get(owner_machine.machine_id)
+        if route is None:
+            fabric = self.net_daemon.nic.fabric
+            legs = read_legs(fabric.wire_latency(self.machine, owner_machine),
+                             1, params.PAGE_SIZE, dct=True)
+            route = self._routes[owner_machine.machine_id] = (
+                fabric.nic_of(owner_machine),
+                self.deployment.descriptor_service(owner_machine),
+                legs.request, legs.link, legs.response)
+        return route
+
+    def _resolve_content(self, service, owner_desc, vpn):
         """What the RDMA read actually returned.
 
         The wire cost was already simulated; here we look up the owning
-        shadow's live frame.  Returns None when the frame is gone (the
+        shadow's live frame through ``service``, the owner's
+        DescriptorService.  Returns None when the frame is gone (the
         caller treats that as a failed read).
         """
-        service = self.deployment.descriptor_service(owner_machine)
         entry = service.lookup(owner_desc.handler_id, owner_desc.auth_key)
         if entry is None:
             return None

@@ -17,8 +17,9 @@ Two rigs:
    compact text tree.
 
 :func:`fault_cost` prices every page-fault path of docs/INTERNALS.md §3
-the same way :func:`resume_cost` prices the resume phases; tier-1 times
-one fault of each path against it.
+the same way :func:`resume_cost` prices the resume phases, and
+:func:`batch_cost` one doorbelled READ of n pages; tier-1 times one
+fault of each path and one READ of each batch size against them.
 """
 
 from .. import params
@@ -112,6 +113,32 @@ def fault_cost(wire=0.0, reconnect=False):
         "nak_fallback_swapped": nak + params.FALLBACK_STORAGE_PAGE_LATENCY,
         "demand_zero": fault + params.FRAME_ALLOC_LATENCY,
     }
+
+
+#: The batch sizes INTERNALS §3 quotes :func:`batch_cost` for.
+BATCH_SIZES = (1, 2, 8)
+
+
+def batch_cost(npages, transport="dct", wire=0.0):
+    """Closed-form us of one doorbelled READ of ``npages`` pages on an
+    idle rig, from the constants docs/INTERNALS.md §3 names: one round
+    trip for the whole batch, ``npages - 1`` WQE postings, and the
+    payloads back to back on the responder's link.
+
+    ``transport`` is ``"dct"`` (each payload carries the DCT header,
+    and the request pays ``DCT_REQUEST_OVERHEAD``; the DCQP already
+    points at the target) or ``"rc"``.  ``wire`` is the one-way wire
+    latency between the two machines, paid once per leg.
+    """
+    page = params.PAGE_SIZE
+    request = (params.RDMA_READ_LATENCY / 2.0 + wire
+               + (npages - 1) * params.DOORBELL_WQE_OVERHEAD)
+    if transport == "dct":
+        page += params.DCT_EXTRA_HEADER_BYTES
+        request += params.DCT_REQUEST_OVERHEAD
+    return (request
+            + params.transfer_time(npages * page, params.RDMA_BANDWIDTH)
+            + params.RDMA_READ_LATENCY / 2.0 + wire)
 
 
 def trace_fork(rig, parent, child):

@@ -53,15 +53,28 @@ class FrameAllocator:
 
     def unref(self, frame):
         """Drop a sharer; frees the frame at refcount zero."""
-        if not frame.live:
-            raise KernelError("unref() on freed frame %r" % (frame,))
-        if frame.refcount <= 0:
-            raise KernelError("refcount underflow on %r" % (frame,))
-        frame.refcount -= 1
-        if frame.refcount == 0:
-            frame.live = False
-            self.machine.memory.free(params.PAGE_SIZE)
-            self.allocated -= 1
+        self.unref_all((frame,))
+
+    def unref_all(self, frames):
+        """Drop one sharer of each of ``frames``, freeing each frame that
+        reaches refcount zero, and return the memory of every frame that
+        died in one free, also when a freed frame or an underflow stops
+        the pass (:class:`KernelError`)."""
+        freed = 0
+        try:
+            for frame in frames:
+                if not frame.live:
+                    raise KernelError("unref() on freed frame %r" % (frame,))
+                if frame.refcount <= 0:
+                    raise KernelError("refcount underflow on %r" % (frame,))
+                frame.refcount -= 1
+                if frame.refcount == 0:
+                    frame.live = False
+                    freed += 1
+        finally:
+            if freed:
+                self.machine.memory.free(freed * params.PAGE_SIZE)
+                self.allocated -= freed
 
     @property
     def bytes_allocated(self):

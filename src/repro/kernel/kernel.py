@@ -51,6 +51,15 @@ class SwapStore:
         del self._slots[slot]
         return content
 
+    def free(self, slots):
+        """Free ``slots`` unread (their holder exited)."""
+        held = self._slots
+        for slot in slots:
+            try:
+                del held[slot]
+            except KeyError:
+                raise KernelError("bad swap slot %r" % (slot,))
+
     def __len__(self):
         return len(self._slots)
 
@@ -86,10 +95,14 @@ class Kernel:
         return task
 
     def release_task(self, task):
-        """Free every resident frame and forget the task."""
-        for _, pte in task.address_space.page_table.materialized():
-            if pte.present and pte.frame is not None:
-                self.frames.unref(pte.unmap())
+        """Free every resident frame and swap slot of ``task`` and forget
+        it.  One pass over the real PTEs unmaps the frames and clears
+        the slots; the frames then drop their references with
+        :meth:`FrameAllocator.unref_all` (one memory-account free), and
+        the slots, each held by this task alone, are freed."""
+        frames, slots = task.address_space.page_table.unmap_all()
+        self.frames.unref_all(frames)
+        self.swap.free(slots)
         self.tasks.pop(task.pid, None)
 
     def warm(self, task, content_tag="init"):
@@ -174,7 +187,7 @@ class Kernel:
                 raise KernelError(
                     "remote-bit PTE but no remote pager installed on m%d"
                     % self.machine.machine_id)
-            self.counters.incr("fault_remote")
+            self.counters["fault_remote"] += 1
             content = yield from self.remote_pager.fetch(task, vma, vpn, pte)
             if not pte.present:  # pagers may install (COW-shared frames)
                 self._install(task, pte, vma, content)
@@ -189,7 +202,7 @@ class Kernel:
             # never loaded): Table 2 says RPC.
             if self.remote_pager is None:
                 raise KernelError("no remote pager installed")
-            self.counters.incr("fault_remote_rpc")
+            self.counters["fault_remote_rpc"] += 1
             content = yield from self.remote_pager.fetch_fallback(
                 task, vma, vpn, pte)
             self._install(task, pte, vma, content)
@@ -197,20 +210,20 @@ class Kernel:
             return pte
 
         if pte.swap_slot is not None:
-            self.counters.incr("fault_swap_in")
+            self.counters["fault_swap_in"] += 1
             yield self.env.timeout(SWAP_IN_LATENCY)
             content = self.swap.pop(pte.swap_slot)
             self._install(task, pte, vma, content)  # map_frame clears the slot
             return pte
 
         if vma.pager is not None:
-            self.counters.incr("fault_pager")
+            self.counters["fault_pager"] += 1
             content = yield from vma.pager.fetch(task, vma, vpn)
             self._install(task, pte, vma, content)
             return pte
 
         # Unmapped growth (stack/heap): vanilla demand-zero policy.
-        self.counters.incr("fault_demand_zero")
+        self.counters["fault_demand_zero"] += 1
         yield self.env.timeout(params.FRAME_ALLOC_LATENCY)
         self._install(task, pte, vma,
                       self._content_token(task, vpn, "zero"))
@@ -223,7 +236,7 @@ class Kernel:
 
     def _charge_cgroup(self, task):
         """Enforce the task's cgroup memory limit before growing its RSS."""
-        limit = getattr(task.cgroup, "memory_limit", None)
+        limit = task.cgroup.memory_limit
         if limit is None:
             return
         rss = task.address_space.resident_bytes
@@ -234,7 +247,7 @@ class Kernel:
 
     def _break_cow(self, task, vpn, pte):
         """Copy-on-write break: private copy of a shared frame."""
-        self.counters.incr("fault_cow")
+        self.counters["fault_cow"] += 1
         yield self.env.timeout(
             params.FRAME_ALLOC_LATENCY
             + params.transfer_time(params.PAGE_SIZE, params.DRAM_COPY_BANDWIDTH))

@@ -152,19 +152,6 @@ class Pte:
             bits, self.frame, self.remote_pfn, self.owner_index)
 
 
-def _remote_pte(snap):
-    """A remote PTE for one descriptor snapshot entry (§4.3): what
-    :meth:`Pte.mark_remote` makes of a fresh PTE, fields set here."""
-    hop = snap.owner_hop
-    if not 0 <= hop <= params.MAX_FORK_HOPS:
-        raise Pte.owner_index_error(hop)
-    pte = Pte()
-    pte.remote = True
-    pte.remote_pfn = snap.remote_pfn
-    pte.owner_index = hop
-    return pte
-
-
 class PageTable:
     """Sparse vpn -> PTE map for one address space.
 
@@ -189,11 +176,16 @@ class PageTable:
         self._entries = {}
         #: The attached vpn -> PteSnapshot map, or None.  Never mutated.
         self._base = None
+        #: The attached map's ``locate`` when it has one (a derived,
+        #: multi-hop map answers ``(remote_pfn, owner_hop)`` without
+        #: building an entry), else None.
+        self._locate = None
 
     def attach_snapshot(self, snapshots):
         """Overlay this fresh table on a descriptor's ``vpn ->
         PteSnapshot`` map, which must stay unchanged from then on."""
         self._base = snapshots
+        self._locate = getattr(snapshots, "locate", None)
 
     @property
     def snapshot(self):
@@ -212,11 +204,26 @@ class PageTable:
             self._base is not None and vpn in self._base)
 
     def _materialize(self, vpn):
-        """The PTE for an untouched snapshot vpn, or None."""
-        snap = self._base.get(vpn)
-        if snap is None:
-            return None
-        pte = self._entries[vpn] = _remote_pte(snap)
+        """The PTE for an untouched snapshot vpn, or None: the remote PTE
+        (§4.3) that :meth:`Pte.mark_remote` makes of a fresh PTE, its
+        fields set here."""
+        locate = self._locate
+        if locate is None:
+            snap = self._base.get(vpn)
+            if snap is None:
+                return None
+            remote_pfn, hop = snap.remote_pfn, snap.owner_hop
+        else:
+            found = locate(vpn)
+            if found is None:
+                return None
+            remote_pfn, hop = found
+        if not 0 <= hop <= params.MAX_FORK_HOPS:
+            raise Pte.owner_index_error(hop)
+        pte = self._entries[vpn] = Pte()
+        pte.remote = True
+        pte.remote_pfn = remote_pfn
+        pte.owner_index = hop
         return pte
 
     def entry(self, vpn):
@@ -243,6 +250,7 @@ class PageTable:
         share frames; the fork is complete once the iterator is.
         """
         child._base = self._base
+        child._locate = self._locate
         child_entries = child._entries
         for vpn, pte in self._entries.items():
             child_pte = child_entries[vpn] = Pte()
@@ -260,11 +268,11 @@ class PageTable:
         base = self._base
         if base is not None:
             local = self._entries
-            flat = {vpn: local.get(vpn) or _remote_pte(snap)
-                    for vpn, snap in base.items()}
+            flat = {vpn: local.get(vpn) or self._materialize(vpn)
+                    for vpn, _ in base.items()}
             flat.update(local)
             self._entries = flat
-            self._base = None
+            self._base = self._locate = None
         return self._entries.items()
 
     def materialized(self):
@@ -274,6 +282,22 @@ class PageTable:
         untouched part of an attached snapshot.
         """
         return self._entries.items()
+
+    def unmap_all(self):
+        """Unmap every resident real PTE and clear every swap slot (task
+        teardown).  Returns ``(frames, slots)``: the unmapped frames,
+        whose references the caller drops, and the cleared slots, which
+        the caller frees."""
+        ptes = self._entries.values()
+        frames = [pte.frame for pte in ptes
+                  if pte.present and pte.frame is not None]
+        slots = [pte.swap_slot for pte in ptes if pte.swap_slot is not None]
+        for pte in ptes:
+            if pte.present and pte.frame is not None:
+                pte.frame = None
+                pte.present = False
+            pte.swap_slot = None
+        return frames, slots
 
     def present_vpns(self):
         """All vpns with resident frames."""

@@ -69,6 +69,9 @@ class Task:
         #: containers this task may still pull pages from (§4.4).  Index 0
         #: is "self/local"; PTE owner bits index this list.
         self.predecessors = []
+        #: A resume over RC transport (Fig. 15 b's "base" design) sets
+        #: this to ``{elder machine_id: RcQp}``; None reads over DC.
+        self._mitosis_rcqps = None
         #: Pooled-QP leases the connection plane attached at fork time
         #: (None without REPRO_CONNPLANE); released by
         #: ``Invoker.release_leases`` on untrack, or once a lineage

@@ -47,26 +47,31 @@ class TimeSeries:
         return best
 
 
-class CounterSet:
-    """A named bag of monotonically increasing counters."""
+class CounterSet(defaultdict):
+    """A named bag of monotonically increasing counters.
+
+    A ``defaultdict(int)``: an unknown name reads 0, and a hot path
+    counts with ``counters[name] += 1`` instead of a call.  Like any
+    dict it is falsy while empty, so test it with ``is None``, never by
+    truth value.
+    """
+
+    __slots__ = ()
 
     def __init__(self):
-        self._counts = defaultdict(int)
+        super().__init__(int)
 
     def incr(self, name, amount=1):
         """Increase a named counter."""
-        self._counts[name] += amount
-
-    def __getitem__(self, name):
-        return self._counts[name]
+        self[name] += amount
 
     def as_dict(self):
-        """A snapshot dict of all counters."""
-        return dict(self._counts)
+        """A detached plain-dict snapshot of all counters."""
+        return dict(self)
 
     def reset(self):
         """Zero every counter."""
-        self._counts.clear()
+        self.clear()
 
 
 class RecoveryLog:

@@ -10,7 +10,7 @@ from .errors import ConnectionError_, RdmaError, RegistrationError, RemoteAccess
 from .fabric import LoopbackFabric, RdmaFabric
 from .mr import MemoryRegion, MrTable
 from .nic import Rnic
-from .qp import DcQp, RcQp, UdQp
+from .qp import DcQp, RcQp, ReadLegs, UdQp, read_legs
 from .rpc import RpcEndpoint, RpcError, RpcRuntime, RpcTimeout
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "RcQp",
     "RdmaError",
     "RdmaFabric",
+    "ReadLegs",
     "RegistrationError",
     "RemoteAccessError",
     "Rnic",
@@ -33,4 +34,5 @@ __all__ = [
     "RpcRuntime",
     "RpcTimeout",
     "UdQp",
+    "read_legs",
 ]

@@ -6,6 +6,7 @@ where contention concentrates when thousands of children read one parent).
 """
 
 from .nic import Rnic
+from .qp import link_time
 
 
 class RdmaFabric:
@@ -51,7 +52,8 @@ class RdmaFabric:
         propagation delay), slept in the same wake-up.
 
         The point-to-point model queues the transfer on the source NIC's
-        link (:meth:`Rnic.occupy`, the FCFS rule) and sleeps once, until
+        link (:meth:`Rnic.occupy`, the FCFS rule) for their
+        :func:`~repro.rdma.qp.link_time`, and sleeps once, until
         the transfer's end plus ``then``.
 
         ``dst_machine`` names where the bytes land.  The point-to-point
@@ -66,8 +68,8 @@ class RdmaFabric:
                 yield from self.net.transfer(source_nic.machine, dst_machine,
                                              nbytes, extra_time=extra_time)
             else:
-                yield env.timeout_at(source_nic.occupy(nbytes, extra_time)
-                                     + then)
+                yield env.timeout_at(
+                    source_nic.occupy(link_time(nbytes, extra_time)) + then)
                 return
         if then > 0:
             yield env.timeout(then)

@@ -34,26 +34,25 @@ class Rnic:
         return "<Rnic m%d>" % self.machine.machine_id
 
     # --- Outbound link ---------------------------------------------------------
-    def occupy(self, nbytes, extra_time=0.0):
-        """Admit a transfer of ``nbytes`` to the outbound link; returns
-        the instant its last byte leaves.
+    def occupy(self, service):
+        """Admit a transfer that holds the outbound link for ``service``
+        microseconds; returns the instant its last byte leaves.
 
-        The link is a FCFS server whose service time (``nbytes`` at line
-        rate plus ``extra_time`` of serialized per-transfer work) is
-        known on arrival, so it keeps no queue, only :attr:`free_at`.  A
-        transfer starts at ``max(now, free_at)`` and pushes ``free_at``
-        to its own end.  It runs to that end whatever its sender does
-        next: an interrupted sender stops waiting, but the link stays
-        busy, as a responder RNIC that never learns the requester gave
-        up would.  Schedules nothing; the caller sleeps until the
-        returned end plus whatever latency follows it.
+        The link is a FCFS server whose service time (the bytes at line
+        rate plus any serialized per-transfer work) is known on arrival,
+        so it keeps no queue, only :attr:`free_at`.  A transfer starts
+        at ``max(now, free_at)`` and pushes ``free_at`` to its own end.
+        It runs to that end whatever its sender does next: an
+        interrupted sender stops waiting, but the link stays busy, as a
+        responder RNIC that never learns the requester gave up would.
+        Schedules nothing; the caller sleeps until the returned end plus
+        whatever latency follows it.
         """
         start = self.free_at
         now = self.env.now
         if start < now:
             start = now
-        end = start + (params.transfer_time(nbytes, params.RDMA_BANDWIDTH)
-                       + extra_time)
+        end = start + service
         self.free_at = end
         return end
 

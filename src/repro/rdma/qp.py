@@ -6,8 +6,55 @@ process); they simulate timing and raise
 return an error completion.
 """
 
+from collections import namedtuple
+
 from .. import params
 from .errors import ConnectionError_, RemoteAccessError
+
+
+def link_time(nbytes, extra=0.0):
+    """How long an outbound link is held for ``nbytes`` at
+    ``RDMA_BANDWIDTH`` plus ``extra`` of serialized per-transfer work:
+    the one place link time is formed, for :func:`read_legs` and
+    :meth:`RdmaFabric.stream`.  ``extra=0.0`` is an exact identity."""
+    return params.transfer_time(nbytes, params.RDMA_BANDWIDTH) + extra
+
+
+#: The legs of one READ (:func:`read_legs`), in microseconds except
+#: ``nbytes``.
+ReadLegs = namedtuple("ReadLegs", "request nbytes link response")
+
+
+def read_legs(wire, npages, page_bytes, dct, slow=1.0, extra=0.0):
+    """The legs of one READ of ``npages`` contiguous pages of
+    ``page_bytes`` over a path of one-way latency ``wire``: the one
+    place a READ's timing is formed.
+
+    * ``request`` — posting to the responder's access check: half the
+      round trip and the wire, ``DCT_REQUEST_OVERHEAD`` on DC, and one
+      ``DOORBELL_WQE_OVERHEAD`` per WQE after the first (one doorbell);
+    * ``nbytes`` — what the responder streams: the payloads, each with
+      ``DCT_EXTRA_HEADER_BYTES`` on DC;
+    * ``link`` — the responder link's service time for ``nbytes``
+      (:func:`link_time`), the time :meth:`RdmaFabric.stream` holds the
+      link for them;
+    * ``response`` — from the last byte leaving to completion: half the
+      round trip and the wire.  A NAK comes back in the same time.
+
+    ``(slow, extra)`` is a path's degradation under an installed fault
+    injector; the fail-free ``(1.0, 0.0)`` is an exact float identity.
+    """
+    half = params.RDMA_READ_LATENCY / 2.0
+    posting = (npages - 1) * params.DOORBELL_WQE_OVERHEAD
+    if dct:
+        request = (half + wire + params.DCT_REQUEST_OVERHEAD
+                   + posting) * slow + extra
+        nbytes = npages * (page_bytes + params.DCT_EXTRA_HEADER_BYTES)
+    else:
+        request = (half + wire + posting) * slow + extra
+        nbytes = npages * page_bytes
+    return ReadLegs(request, nbytes, link_time(nbytes),
+                    (half + wire) * slow + extra)
 
 
 class _QpBase:
@@ -159,24 +206,23 @@ class RcQp(_QpBase):
             else:
                 slow, extra = yield from self._faulted_prologue(faults)
             peer_nic = fabric.nic_of(self.peer)
-            wire = fabric.wire_latency(self.nic.machine, self.peer)
-            half = params.RDMA_READ_LATENCY / 2.0
             # One doorbell: request latency paid once for the whole range.
-            yield self.env.timeout(
-                (half + wire + (npages - 1) * params.DOORBELL_WQE_OVERHEAD)
-                * slow + extra)
+            legs = read_legs(fabric.wire_latency(self.nic.machine, self.peer),
+                             npages, page_bytes, dct=False, slow=slow,
+                             extra=extra)
+            yield self.env.timeout(legs.request)
             if rkey is not None and not peer_nic.mrs.check(rkey, addr, length):
-                yield self.env.timeout((half + wire) * slow + extra)  # NAK
-                self.nic.counters.incr("rc_read_rejected")
+                yield self.env.timeout(legs.response)  # the NAK
+                self.nic.counters["rc_read_rejected"] += 1
                 raise RemoteAccessError(
                     "MR check failed for rkey=%r addr=%#x len=%d"
                     % (rkey, addr, length))
-            yield from fabric.stream(peer_nic, length,   # per-page payloads
+            yield from fabric.stream(peer_nic, legs.nbytes,  # the payloads
                                      dst_machine=self.nic.machine,
-                                     then=(half + wire) * slow + extra)
-            self.nic.counters.incr("rc_read", npages)
+                                     then=legs.response)
+            self.nic.counters["rc_read"] += npages
             if npages > 1:
-                self.nic.counters.incr("rc_read_batches")
+                self.nic.counters["rc_read_batches"] += 1
             return length
         finally:
             if span is not None:
@@ -293,30 +339,27 @@ class DcQp(_QpBase):
                 slow, extra = yield from self._faulted_prologue(
                     faults, target_machine)
             peer_nic = fabric.nic_of(target_machine)
-            wire = fabric.wire_latency(self.nic.machine, target_machine)
+            legs = read_legs(
+                fabric.wire_latency(self.nic.machine, target_machine),
+                npages, page_bytes, dct=True, slow=slow, extra=extra)
             if target_id != self.last_target_id:
                 if span is not None:
                     span.event("dct_reconnect", target=target_id)
                 yield self.env.timeout(params.DCT_RECONNECT_LATENCY * slow)
                 self.last_target_id = target_id
-            half = params.RDMA_READ_LATENCY / 2.0
-            yield self.env.timeout(
-                (half + wire + params.DCT_REQUEST_OVERHEAD
-                 + (npages - 1) * params.DOORBELL_WQE_OVERHEAD) * slow + extra)
+            yield self.env.timeout(legs.request)
             if not peer_nic.admits_dct(target_id, key):
-                yield self.env.timeout((half + wire) * slow + extra)
-                self.nic.counters.incr("dc_read_rejected")
+                yield self.env.timeout(legs.response)  # the NAK
+                self.nic.counters["dc_read_rejected"] += 1
                 raise RemoteAccessError(
                     "DC target %r rejected on m%d"
                     % (target_id, target_machine.machine_id))
-            yield from fabric.stream(
-                peer_nic,
-                npages * (page_bytes + params.DCT_EXTRA_HEADER_BYTES),
-                dst_machine=self.nic.machine,
-                then=(half + wire) * slow + extra)
-            self.nic.counters.incr("dc_read", npages)
+            yield from fabric.stream(peer_nic, legs.nbytes,
+                                     dst_machine=self.nic.machine,
+                                     then=legs.response)
+            self.nic.counters["dc_read"] += npages
             if npages > 1:
-                self.nic.counters.incr("dc_read_batches")
+                self.nic.counters["dc_read_batches"] += 1
             return npages * page_bytes
         finally:
             if span is not None:

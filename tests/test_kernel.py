@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import params
 from repro.cluster import Cluster
-from repro.core.descriptor import DerivedSnapshots, PteSnapshot
+from repro.core.descriptor import DerivedSnapshots, PteSnapshot, SnapshotMap
 from repro.kernel import (
     Kernel,
     KernelError,
@@ -15,6 +15,7 @@ from repro.kernel import (
     SegmentationFault,
     VmaKind,
 )
+from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
 
 
@@ -321,6 +322,67 @@ class TestSwapAndReclaim:
         assert cluster.machine(0).memory.used == 0
         assert task.pid not in k0.tasks
 
+    def test_release_drops_shared_frames_once_each(self, rig):
+        """Releasing a forked child drops one reference per frame it
+        maps, frees only the frames it alone held, and leaves the
+        allocator, the memory account and the parent's mappings
+        consistent."""
+        env, cluster, (k0, _) = rig
+        memory = cluster.machine(0).memory
+        parent = make_task(k0)
+        k0.warm(parent)
+        heap = parent.address_space.vmas[1]
+        shared = parent.address_space.resident_pages
+
+        def body():
+            child = yield from k0.fork_local(parent)
+            for offset in range(3):  # three private copies
+                yield from k0.write_page(child, heap.start_vpn + offset, "c")
+            return child
+
+        child = run(env, body())
+        assert k0.frames.allocated == shared + 3
+        child.exit()
+        assert k0.frames.allocated == shared
+        assert memory.used == shared * params.PAGE_SIZE
+        assert audit_frame_refcounts([k0]) == []
+        assert {pte.frame.refcount for _, pte
+                in parent.address_space.page_table.materialized()} == {1}
+
+    def test_release_of_a_freed_frame_raises(self, rig):
+        """Releasing a task whose PTE maps a frame already freed is a
+        double unref: KernelError, as FrameAllocator.unref raises, and
+        the frames released before it stay counted as freed."""
+        env, cluster, (k0, _) = rig
+        task = make_task(k0)
+        k0.warm(task)
+        frames = [pte.frame for _, pte
+                  in task.address_space.page_table.materialized()]
+        k0.frames.unref(frames[-1])  # freed behind the PTE's back
+        with pytest.raises(KernelError, match="freed frame"):
+            k0.release_task(task)
+        assert k0.frames.allocated == 0
+        assert cluster.machine(0).memory.used == 0
+
+    def test_exit_frees_swap_slots(self, rig):
+        env, _, (k0, _) = rig
+        task = make_task(k0)
+        heap = task.address_space.vmas[1]
+
+        def body():
+            for offset in range(2):
+                yield from k0.write_page(task, heap.start_vpn + offset, "s")
+            yield from k0.reclaim(task, [heap.start_vpn, heap.start_vpn + 1])
+            child = yield from k0.fork_local(task)
+            return child
+
+        child = run(env, body())
+        assert len(k0.swap) == 4  # the child holds copies of its own
+        child.exit()
+        assert len(k0.swap) == 2
+        task.exit()
+        assert len(k0.swap) == 0
+
 
 def eager_copy(snapshots):
     """The reference: the table fork_resume used to build, one remote PTE
@@ -391,8 +453,8 @@ def derived_snapshots(draw):
     """``(derived map, eager reference)``: 1-3 own layers over a random
     root, stacked hop by hop as fork_prepare stacks them.  Own vpns
     reach past the root's range, so some are locally added."""
-    reference = snapshots = draw(
-        root_snapshots(params.MAX_FORK_HOPS - MAX_LAYERS))
+    reference = draw(root_snapshots(params.MAX_FORK_HOPS - MAX_LAYERS))
+    snapshots = SnapshotMap(reference)
     for _ in range(draw(st.integers(1, MAX_LAYERS))):
         own = draw(st.dictionaries(st.integers(0, 44), OWN_ENTRIES,
                                    max_size=12))

@@ -1,5 +1,8 @@
 """Tests for the metrics collectors and statistics helpers."""
 
+import ast
+import os
+
 import pytest
 
 from repro.metrics import CounterSet, TimeSeries, mean, percentile
@@ -46,6 +49,53 @@ class TestCounterSet:
         assert counters.as_dict() == {"x": 1}
         counters.reset()
         assert counters.as_dict() == {}
+
+    def test_hot_paths_count_by_item(self):
+        counters = CounterSet()
+        counters["hits"] += 1
+        counters.incr("hits", 2)
+        assert counters["hits"] == 3
+
+    def test_as_dict_is_a_detached_plain_dict(self):
+        counters = CounterSet()
+        counters.incr("x")
+        snapshot = counters.as_dict()
+        assert type(snapshot) is dict
+        counters.incr("x")
+        snapshot["y"] = 5
+        assert snapshot == {"x": 1, "y": 5}
+        assert counters.as_dict() == {"x": 2}
+
+    def test_no_caller_tests_a_counter_sets_truth_value(self):
+        """An empty CounterSet is falsy, as any dict is: no condition in
+        the program may test a ``counters`` attribute or name by truth
+        value (``is None`` is the test for "not armed")."""
+        root = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src", "repro")
+        found = []
+        for directory, _, files in os.walk(root):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), path)
+                for node in ast.walk(tree):
+                    tests = []
+                    if isinstance(node, (ast.If, ast.While, ast.IfExp,
+                                         ast.Assert)):
+                        tests.append(node.test)
+                    elif isinstance(node, ast.BoolOp):
+                        tests.extend(node.values)
+                    elif (isinstance(node, ast.UnaryOp)
+                          and isinstance(node.op, ast.Not)):
+                        tests.append(node.operand)
+                    for test in tests:
+                        leaf = (test.attr if isinstance(test, ast.Attribute)
+                                else getattr(test, "id", None))
+                        if leaf is not None and leaf.endswith("counters"):
+                            found.append("%s:%d" % (path, node.lineno))
+        assert found == []
 
 
 class TestStatsFunctions:

@@ -6,7 +6,7 @@ from repro import params
 from repro.cluster import Cluster
 from repro.containers import ContainerRuntime, hello_world_image
 from repro.core import ForkDepthExceeded, MitosisDeployment
-from repro.core.descriptor import PteSnapshot
+from repro.core.descriptor import PteSnapshot, SnapshotMap
 from repro.core.mitosis import _pte_snapshot
 from repro.kernel import Kernel, KernelError, PageTable
 from repro.rdma import RdmaFabric, RpcError, RpcRuntime
@@ -611,6 +611,32 @@ class TestPageSharing:
         assert counters.get("shared_hits", 0) == 0
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the fetcher maps the frame it caches writable, "
+        "so its write lands in the frame a co-located sibling shares"))
+    def test_cofetched_write_stays_invisible_to_a_sibling(self, rig):
+        """A fork is a snapshot: what one child writes after the fork,
+        its sibling must not read.  With sharing off the sibling reads
+        the parent's value; with sharing on it reads the write."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel0, kernel1 = runtimes[0].kernel, runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        vpn = parent.task.address_space.vmas[3].start_vpn
+
+        def body():
+            yield from kernel0.write_page(parent.task, vpn, "A")
+            meta = yield from node0.fork_prepare(parent)
+            first = yield from node1.fork_resume(meta)
+            second = yield from node1.fork_resume(meta)
+            yield from kernel1.touch(first.task, vpn)
+            yield from kernel1.write_page(first.task, vpn, "B")
+            return (yield from kernel1.touch(second.task, vpn))
+
+        assert run(env, body()) == "A"
+
+
 class TestMultiHop:
     def test_grandchild_pulls_from_correct_elders(self, rig):
         env, cluster, runtimes, deployment = rig
@@ -638,6 +664,81 @@ class TestMultiHop:
         assert d0 == "data[0]"  # pulled from machine 0 (two hops up)
         assert d1 == "data[1]"  # pulled from machine 1 (one hop up)
         assert len(func2.task.predecessors) == 2
+
+    def test_chain_tail_faults_in_ancestor_pages_building_no_entries(
+            self, rig, monkeypatch):
+        """The tail of a 3-hop chain reads each page from the hop that
+        wrote it, and its faults ask the derived snapshot maps for
+        ``(remote_pfn, owner_hop)`` only: no PteSnapshot is built."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernels = [runtimes[i].kernel for i in range(4)]
+        nodes = [deployment.node(cluster.machine(i)) for i in range(4)]
+        heap = parent.task.address_space.vmas[3]
+        lib = parent.task.address_space.vmas[1]
+
+        def chain():
+            container = parent
+            for hop in range(3):
+                yield from kernels[hop].write_page(
+                    container.task, heap.start_vpn + hop, "data[%d]" % hop)
+                meta = yield from nodes[hop].fork_prepare(container)
+                container = yield from nodes[hop + 1].fork_resume(meta)
+            return container
+
+        tail = run(env, chain())
+        assert len(tail.task.predecessors) == 3
+        built = []
+        original = PteSnapshot.__init__
+
+        def counting(snap, *args, **kwargs):
+            built.append(args)
+            original(snap, *args, **kwargs)
+
+        monkeypatch.setattr(PteSnapshot, "__init__", counting)
+
+        def read():
+            pages = [heap.start_vpn + hop for hop in range(3)]
+            pages.append(lib.start_vpn)
+            contents = []
+            for vpn in pages:
+                contents.append((yield from kernels[3].touch(tail.task, vpn)))
+            return contents
+
+        contents = run(env, read())
+        assert contents[:3] == ["data[0]", "data[1]", "data[2]"]
+        owners = [tail.task.address_space.page_table.entry(
+            heap.start_vpn + hop) for hop in range(3)]
+        assert all(pte.present and not pte.remote for pte in owners)
+        assert built == []
+
+    def test_hop_one_prepare_does_not_scan_its_elder_map(self, rig,
+                                                         monkeypatch):
+        """A first-generation map carries its max owner hop, so a
+        resumed child's fork_prepare never walks the map it derives
+        from (the seed's 1,330 entries for TC0)."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0], image=tc0_profile().image)
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+
+        def resume():
+            meta = yield from node0.fork_prepare(parent)
+            return (yield from node1.fork_resume(meta))
+
+        child = run(env, resume())
+        elder = child.task.address_space.page_table.snapshot
+        assert type(elder) is SnapshotMap and len(elder) == 1330
+
+        def no_scan(self, *args):
+            raise AssertionError("scanned the elder snapshot map")
+
+        for method in ("values", "items", "keys", "__iter__"):
+            monkeypatch.setattr(SnapshotMap, method, no_scan)
+        meta = run(env, node1.fork_prepare(child))
+        monkeypatch.undo()
+        descriptor, _ = node1.service.lookup(meta.handler_id, meta.auth_key)
+        assert descriptor.pte_snapshots.max_hop == 1
 
     def test_owner_bits_encode_hops(self, rig):
         env, cluster, runtimes, deployment = rig
@@ -805,6 +906,43 @@ class TestMultiHop:
 
         assert run(env, body())
 
+    @pytest.mark.parametrize("write", ["setitem", "update", "setdefault",
+                                       "ior"])
+    def test_entry_added_after_publish_is_rejected_by_prepare(self, rig,
+                                                              write):
+        """Whichever dict write adds an entry to a published
+        first-generation map, the max hop the map carries counts it, so
+        the child's fork_prepare rejects the hop its own child would
+        need, as the scan it replaces did."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        snap = PteSnapshot(0, owner_hop=params.MAX_FORK_HOPS)
+
+        def body():
+            meta = yield from node0.fork_prepare(parent)
+            descriptor, _ = node0.service.lookup(meta.handler_id,
+                                                 meta.auth_key)
+            snapshots = descriptor.pte_snapshots
+            assert type(snapshots) is SnapshotMap and snapshots.max_hop == 0
+            vpn = max(snapshots) + 1
+            if write == "setitem":
+                snapshots[vpn] = snap
+            elif write == "update":
+                snapshots.update({vpn: snap})
+            elif write == "setdefault":
+                snapshots.setdefault(vpn, snap)
+            else:
+                snapshots |= {vpn: snap}
+            assert snapshots.max_hop == params.MAX_FORK_HOPS
+            child = yield from node1.fork_resume(meta)
+            with pytest.raises(KernelError, match="does not fit"):
+                yield from node1.fork_prepare(child)
+            return True
+
+        assert run(env, body())
+
     def test_built_owner_index_beyond_pte_bits_rejected_by_prepare(self, rig):
         env, cluster, runtimes, deployment = rig
         parent = start_parent(env, runtimes[0])
@@ -958,6 +1096,128 @@ class TestDescriptorGc:
             return "served"
 
         assert run(env, body()) == "rejected"
+
+    @pytest.mark.parametrize("reclaimed, delay", [
+        (1, 3.0), (1, 8.0), (1, 12.0), (1, 16.0), (0, 12.0), (0, 50.0),
+    ], ids=["storage-at-arrival", "storage-8us", "storage-12us",
+            "storage-16us", "swap-12us", "swap-50us"])
+    def test_fallback_racing_a_retire_fails_instead_of_serving_storage(
+            self, rig, reclaimed, delay):
+        """The parent writes X and forks; its shadow reclaims X or a
+        neighbour of X, which revokes the heap's DC target, so the
+        child's read of X is NAKed and takes the fallback RPC.  A retire
+        ``delay`` us into that fault lands before the daemon looks the
+        descriptor up, in its 12 us page sleep, or in its storage sleep:
+        each way the child gets the retired descriptor's RpcError,
+        never a storage token or a freed swap slot, and a retire before
+        the page sleep ends is answered without the storage sleep."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel0, kernel1 = runtimes[0].kernel, runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        vpn = parent.task.address_space.vmas[3].start_vpn
+
+        def fork():
+            yield from kernel0.write_page(parent.task, vpn, "A")
+            yield from kernel0.write_page(parent.task, vpn + 1, "A'")
+            meta = yield from node0.fork_prepare(parent)
+            child = yield from node1.fork_resume(meta)
+            _, shadow = node0.service.lookup(meta.handler_id, meta.auth_key)
+            yield from kernel0.reclaim(shadow, [vpn + reclaimed])
+            return meta, child
+
+        meta, child = run(env, fork())
+        retired = []
+
+        def retire():
+            yield env.timeout(delay)
+            retired.append(node0.retire_descriptor(meta))
+
+        def fault():
+            env.process(retire())
+            started = env.now
+            try:
+                yield from kernel1.touch(child.task, vpn)
+            except RpcError as exc:
+                return str(exc), env.now - started
+            return "served", env.now - started
+
+        outcome, elapsed = run(env, fault())
+        assert outcome == "bad fork meta in fallback"
+        assert (elapsed < params.FALLBACK_STORAGE_PAGE_LATENCY) == (
+            delay < params.FALLBACK_RPC_PAGE_LATENCY + 5.0)
+        assert retired == [True]
+        assert not child.task.address_space.page_table.entry(vpn).present
+        assert node1.pager.counters["revocation_fallbacks"] == 1
+        assert len(kernel0.swap) == 0
+
+    @pytest.mark.parametrize("delay, answer", [
+        (50.0, "bad fork meta in fallback"),
+        (150.0, "m0/storage/v%d"),
+    ], ids=["retired-in-storage-sleep", "retired-after"])
+    def test_storage_page_racing_a_retire_is_not_served(self, rig, delay,
+                                                        answer):
+        """A page of the shadow's VMAs that was never loaded comes from
+        storage; a retire during that load rejects the request like any
+        other."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        space = parent.task.address_space
+        heap = space.vmas[3]
+        vpn = heap.end_vpn
+        space.grow(heap, 1)  # a heap page nobody has touched
+        meta = run(env, node0.fork_prepare(parent))
+
+        def retire():
+            yield env.timeout(delay)
+            node0.retire_descriptor(meta)
+
+        def fallback():
+            env.process(retire())
+            try:
+                return (yield from deployment.rpc.call(
+                    cluster.machine(1), cluster.machine(0),
+                    "mitosis.fallback_page",
+                    {"handler_id": meta.handler_id,
+                     "auth_key": meta.auth_key, "vpn": vpn},
+                    request_bytes=params.FALLBACK_RPC_REQUEST_BYTES))
+            except RpcError as exc:
+                return str(exc)
+
+        assert run(env, fallback()) == (
+            answer % vpn if "%d" in answer else answer)
+
+    def test_exited_task_frees_its_swap_slots(self, rig):
+        """Every swap slot has one holder: the shadow's reclaimed page
+        is freed when the retired shadow exits, and a local fork's copy
+        when the forked task exits."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        kernel0, kernel1 = runtimes[0].kernel, runtimes[1].kernel
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+        vpn = parent.task.address_space.vmas[3].start_vpn
+
+        def body():
+            yield from kernel0.write_page(parent.task, vpn, "A")
+            meta = yield from node0.fork_prepare(parent)
+            _, shadow = node0.service.lookup(meta.handler_id, meta.auth_key)
+            yield from kernel0.reclaim(shadow, [vpn])
+            child = yield from node1.fork_resume(meta)
+            content = yield from kernel1.touch(child.task, vpn)
+            assert len(kernel0.swap) == 1
+            twin = yield from kernel0.fork_local(shadow)
+            assert len(kernel0.swap) == 2
+            twin.exit()
+            assert len(kernel0.swap) == 1
+            assert node0.retire_descriptor(meta)
+            return content
+
+        assert run(env, body()) == "A"
+        assert len(kernel0.swap) == 0
+        assert audit_frame_refcounts([kernel0, kernel1]) == []
 
     def test_retire_unknown_meta_returns_false(self, rig):
         env, cluster, runtimes, deployment = rig

@@ -21,6 +21,7 @@ from repro.experiments import tracecli
 from repro.experiments.rigs import PrimitiveRig
 from repro.faults import FaultInjector
 from repro.kernel import VmaKind
+from repro.rdma import DcQp, RcQp
 from repro.sanitizers import SanitizerViolation, audit_traces, check_traces
 from repro.sim import Environment
 from repro.trace import (
@@ -706,6 +707,50 @@ class TestFaultCost:
         quoted.append(tracecli.fault_cost(reconnect=True)["read"])
         for us in quoted:
             assert "%.4f µs" % us in section, us
+
+
+class TestBatchCost:
+    """INTERNALS §3's batch row: one doorbelled READ of n pages against
+    :func:`tracecli.batch_cost`, on DC and on RC."""
+
+    @pytest.mark.parametrize("npages", tracecli.BATCH_SIZES)
+    @pytest.mark.parametrize("transport", ["dct", "rc"])
+    @pytest.mark.parametrize("shape, wire", [
+        (dict(num_machines=3, num_dfs_osds=1), 0.0),
+        (dict(num_machines=4, num_racks=2), params.CROSS_RACK_EXTRA_LATENCY),
+    ], ids=["same_rack", "cross_rack"])
+    def test_one_batch_matches_closed_form(self, shape, wire, transport,
+                                           npages):
+        rig = PrimitiveRig(**shape)
+        reader, owner = rig.machine(1), rig.machine(0)
+        assert rig.cluster.wire_latency(reader, owner) == wire
+        if transport == "rc":
+            verb = RcQp(reader.nic, owner).read_batch(npages,
+                                                      params.PAGE_SIZE)
+        else:
+            target = owner.nic._new_target(user_key=0xB0)
+            qp = DcQp(reader.nic)
+            qp.last_target_id = target.target_id  # no reconnect
+            verb = qp.read_batch(owner, target.target_id, target.key,
+                                 npages, params.PAGE_SIZE)
+        start = rig.env.now
+        assert rig.run(verb) == npages * params.PAGE_SIZE
+        measured = rig.env.now - start
+        closed = tracecli.batch_cost(npages, transport, wire)
+        assert abs(measured - closed) <= 1e-9 * closed, (measured, closed)
+
+    def test_internals_quotes_every_batch_cost(self):
+        """§3's batch row prints :func:`tracecli.batch_cost`, so the
+        table cannot drift from the model."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "INTERNALS.md")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text[text.index("## 3."):text.index("## 4.")]
+        for transport in ("dct", "rc"):
+            for npages in tracecli.BATCH_SIZES:
+                us = tracecli.batch_cost(npages, transport)
+                assert "%.4f µs" % us in section, (transport, npages, us)
 
 
 class TestTraceCliSmoke:
