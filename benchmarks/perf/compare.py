@@ -11,36 +11,30 @@ It first refuses (exit 2) a run it cannot compare with the baseline:
 * a run on another Python major.minor — the harness's reference chunk
   (``perfbench/timing.py``) corrects for host speed, not for
   interpreter speed, or
-* any rig whose ``forks``, ``batch_pages`` or ``workers`` differ from
-  the baseline's (a ``--forks 1000`` run against the 10K baseline).
+* any rig whose ``forks`` or ``batch_pages`` differ from the
+  baseline's (a ``--forks 1000`` run against the 10K baseline).
 
 Otherwise the gate fails (exit 1) when
 
 * a baseline rig is missing from the run, or
-* any single-process rig's ``nominal_wall_s`` (its host seconds scaled
-  by the reference chunk, see ``harness.py``) regresses more than
+* any rig's ``nominal_wall_s`` (its host seconds scaled by the
+  reference chunk, see ``harness.py``) regresses more than
   ``--tolerance`` (default 15%) over the baseline's, or
 * a gate comparing two rigs of the same run misses its bound
   (:data:`SAME_RUN_GATES`): the batched fork rig's nominal-wall
   reduction over the unbatched one (``--min-reduction``, default ≥25%;
   the rigs run in separate interpreters, so raw seconds would compare
-  two moments of the host's speed), the
-  installed-but-disabled tracer's raw-CPU overhead
-  (``--max-trace-overhead``, default ≤2%), the sharded rig's speedup
-  over the single-core rig (``--min-shard-speedup``, default ≥2x; raw
-  CPU on both sides, events over the slowest worker's CPU seconds, so
-  it does not depend on the runner's cores), and the connection plane's
-  *simulated* makespan reduction on the RC fork storm
-  (``--min-connplane-reduction``, default ≥15%), or
+  two moments of the host's speed), the installed-but-disabled
+  tracer's raw-CPU overhead (``--max-trace-overhead``, default ≤2%),
+  and the connection plane's *simulated* makespan reduction on the RC
+  fork storm (``--min-connplane-reduction``, default ≥15%), or
 * ``--connscale CONNSCALE.json`` is given and the pooled fork
   throughput fails to scale with cluster size (or the unpooled baseline
   fails to plateau) — the ``experiments connscale`` contrast.
 
-Multi-worker rigs stay out of the wall gate: their wall time depends on
-the runner's core count, which the reference chunk cannot see.  Event
-counts are simulation-deterministic; a drift is reported as info (it
-means the event sequence changed, which the byte-identity tests own)
-but does not fail the gate.
+Event counts are simulation-deterministic; a drift is reported as info
+(it means the event sequence changed, which the byte-identity tests
+own) but does not fail the gate.
 """
 
 import argparse
@@ -48,7 +42,7 @@ import json
 import sys
 
 #: Rig parameters that must equal the baseline's for a run to compare.
-RIG_PARAMETERS = ("forks", "batch_pages", "workers")
+RIG_PARAMETERS = ("forks", "batch_pages")
 
 #: Gates comparing two rigs of one run:
 #: (rig, field, option holding the bound, bound is a floor, description).
@@ -58,8 +52,6 @@ SAME_RUN_GATES = (
     ("fork10k_tracing_off", "tracing_off_overhead_pct",
      "max_trace_overhead", False,
      "installed-but-disabled tracer raw-CPU overhead (%)"),
-    ("fork10k_shard4", "shard_speedup", "min_shard_speedup", True,
-     "sharded fork rig CPU-time speedup (x)"),
     ("fork10k_connplane", "connplane_makespan_reduction_pct",
      "min_connplane_reduction", True,
      "connection-plane sim-makespan reduction (%)"),
@@ -146,9 +138,6 @@ def main(argv=None):
     parser.add_argument("--max-trace-overhead", type=float, default=2.0,
                         help="allowed tracing-off overhead over the "
                              "tracer-free fork rig (%%)")
-    parser.add_argument("--min-shard-speedup", type=float, default=2.0,
-                        help="required sharded-fork CPU-time speedup over "
-                             "single-core (x)")
     parser.add_argument("--min-connplane-reduction", type=float, default=15.0,
                         help="required connection-plane sim-makespan "
                              "reduction on the RC fork storm (%%)")
@@ -173,11 +162,6 @@ def main(argv=None):
         cur_rig = current["rigs"].get(name)
         if cur_rig is None:
             failures.append("rig %r missing from current run" % name)
-            continue
-        if cur_rig["workers"] > 1:
-            print("%-20s wall=%7.2fs workers=%d (multi-worker rig, "
-                  "excluded from wall gate)"
-                  % (name, cur_rig["wall_s"], cur_rig["workers"]))
             continue
         nominal = cur_rig["nominal_wall_s"]
         limit = base_rig["nominal_wall_s"] * (1.0 + args.tolerance)
@@ -209,11 +193,6 @@ def main(argv=None):
         if not held:
             failures.append("%s %.2f, required %s %.2f"
                             % (what, value, ">=" if floor else "<=", bound))
-    wall_speedup = current["rigs"].get("fork10k_shard4", {}).get(
-        "shard_wall_speedup")
-    if wall_speedup is not None:
-        print("shard speedup (wall basis, %s cores; info only): %.2fx"
-              % (current["host"]["cpu_count"], wall_speedup))
 
     if args.connscale:
         failures.extend(check_connscale(load(args.connscale)))

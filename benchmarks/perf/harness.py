@@ -2,7 +2,7 @@
 
 Unlike ``benchmarks/test_*.py`` (pytest-benchmark suites over *simulated*
 results), this harness measures the simulator itself: host wall and CPU
-seconds, events processed, events/sec, and peak RSS for seven rigs —
+seconds, events processed, events/sec, and peak RSS for six rigs —
 
 * ``fork10k_unbatched`` / ``fork10k_batched`` — the 10K-fork batch start
   (Fig. 11's regime: one warm seed, N concurrent fork_resume + working-set
@@ -20,14 +20,6 @@ seconds, events processed, events/sec, and peak RSS for seven rigs —
   (``repro.connplane``) armed the storm hits warm pooled QPs instead.
   ``connplane_makespan_reduction_pct`` (their *simulated* makespan
   contrast) gates the plane's ≥15% win in CI.
-* ``fork10k_shard4``     — the unbatched fork rig partitioned across
-  ``REPRO_SHARDS`` (default 4) worker processes (``repro.shard``).  Its
-  ``shard_speedup`` is the aggregate events/s-per-core gain over the
-  single-core rig on a *CPU-time* basis — ``events / max worker cpu``
-  against ``events / cpu`` — which is what parallel hardware realises
-  and does not depend on how many cores the runner actually has.
-  ``shard_wall_speedup`` (single-core wall over sharded wall) records
-  what this runner's cores delivered.
 * ``grayfaults_smoke``   — the CI-sized brownout replay: fault injectors,
   hedged reads, breakers, deadline shedding.
 
@@ -41,13 +33,13 @@ keeps each rig's median run (:func:`median_run`); the baseline is
 recorded that way.
 
 Host seconds follow perfbench's host-speed model (``perfbench/timing.py``):
-each single-process fork rig runs dry in slices of :data:`SLICE_SPAN`
-simulated time, with a reference chunk timed after every slice.
+each fork rig runs dry in slices of :data:`SLICE_SPAN` simulated time,
+with a reference chunk timed after every slice.
 ``grayfaults_smoke`` runs its loop inside ``grayfaults.run``, so it is
 scaled by the reference speed sampled right before and after it.  Each
 of these rigs reports its raw ``wall_s``/``cpu_s`` (reference excluded)
 and the ``nominal_wall_s``/``nominal_cpu_s`` that ``compare.py`` holds
-against the baseline.  The sharded rig stays raw.
+against the baseline.
 
 Usage::
 
@@ -76,7 +68,6 @@ import timing  # noqa: E402
 from repro import params  # noqa: E402
 from repro.experiments import grayfaults  # noqa: E402
 from repro.fn import FnCluster, MitosisPolicy  # noqa: E402
-from repro.shard import default_shards, run_sharded  # noqa: E402
 from repro.trace import Tracer  # noqa: E402
 from repro.workloads import tc0_profile  # noqa: E402
 
@@ -103,13 +94,13 @@ def _timed(fn):
     return result, time.perf_counter() - wall0, time.process_time() - cpu0
 
 
-def _single_process(wall, cpu, nominal_wall, nominal_cpu, events):
-    """The host fields of a single-process rig."""
+def _host_fields(wall, cpu, nominal_wall, nominal_cpu, events):
+    """The host fields of a rig."""
     return {"wall_s": wall, "cpu_s": cpu, "nominal_wall_s": nominal_wall,
             "nominal_cpu_s": nominal_cpu, "events": events,
             "events_per_s": events / wall,
             "events_per_s_per_core": events / cpu,
-            "workers": 1, "peak_rss_kb": _peak_rss_kb()}
+            "peak_rss_kb": _peak_rss_kb()}
 
 
 def submit_burst(num_forks, batch_pages, tracing="none", connplane=False,
@@ -147,7 +138,7 @@ def run_fork_batch_start(num_forks, batch_pages, **knobs):
     if len(fn.records) != num_forks:
         raise RuntimeError("%d of %d forks completed"
                            % (len(fn.records), num_forks))
-    rig = _single_process(sum(s.wall for s in slices),
+    rig = _host_fields(sum(s.wall for s in slices),
                           sum(s.cpu for s in slices),
                           *timing.nominal(slices), fn.env.events_processed)
     # run_sliced leaves the clock on a slice boundary: the burst's
@@ -158,28 +149,6 @@ def run_fork_batch_start(num_forks, batch_pages, **knobs):
                batched_reads=sum(node.pager.counters["batched_reads"]
                                  for node in fn.deployment.nodes()))
     return rig
-
-
-def run_fork_sharded(num_forks, workers):
-    """The unbatched fork rig partitioned across shard worker processes.
-
-    Delegates to :func:`repro.shard.run_sharded` (partitioned replicas,
-    pick-digest guarded); the per-core rate divides aggregate events by
-    the *slowest worker's* CPU seconds — the critical path a parallel
-    host would wait on.
-    """
-    result, wall, _cpu = _timed(lambda: run_sharded(num_forks, workers))
-    events = result["events"]
-    critical = result["max_worker_cpu_s"]
-    return {"wall_s": wall, "cpu_s": result["cpu_s"], "events": events,
-            "events_per_s": events / wall if wall > 0 else None,
-            "events_per_s_per_core": (events / critical
-                                      if critical > 0 else None),
-            "workers": workers,
-            "max_worker_cpu_s": critical,
-            "peak_rss_kb": _peak_rss_kb(),
-            "sim_makespan_ms": result["sim_makespan"] / params.MS,
-            "forks": num_forks, "batch_pages": 0}
 
 
 def measure_tracing_overhead(num_forks, pairs=TRACE_OVERHEAD_PAIRS):
@@ -231,7 +200,7 @@ def run_grayfaults_smoke():
     speed = (before + timing.reference_speed()) / 2
     scale = timing.REFERENCE_NOMINAL_S / speed
     events = sum(fn.env.events_processed for fn, _, _ in runs.values())
-    return _single_process(wall, cpu, wall * scale, cpu * scale, events)
+    return _host_fields(wall, cpu, wall * scale, cpu * scale, events)
 
 
 def _tracing_overhead(num_forks):
@@ -266,9 +235,6 @@ RIGS = {
         "RC transport, connection plane",
         lambda forks: run_fork_batch_start(forks, BATCH_PAGES,
                                            connplane=True, transport="rc")),
-    "fork10k_shard4": (
-        "shard processes",
-        lambda forks: run_fork_sharded(forks, default_shards() or 4)),
     "grayfaults_smoke": (
         "brownout replay", lambda forks: run_grayfaults_smoke()),
 }
@@ -289,11 +255,10 @@ def median_run(runs):
     """The run of one rig whose headline is the median of ``runs`` (the
     lower middle one of an even count), as a new dict listing every
     run's headline, sorted, under ``<headline>_runs``.  The headline is
-    ``nominal_wall_s``, else raw ``wall_s`` (the sharded rig), else the
-    overhead estimate (the tracing-off A/B pairs)."""
-    field = next(field for field in ("nominal_wall_s", "wall_s",
-                                     "tracing_off_overhead_pct")
-                 if field in runs[0])
+    ``nominal_wall_s``, else the overhead estimate (the tracing-off A/B
+    pairs)."""
+    field = ("nominal_wall_s" if "nominal_wall_s" in runs[0]
+             else "tracing_off_overhead_pct")
     runs = sorted(runs, key=lambda rig: rig[field])
     rig = dict(runs[(len(runs) - 1) // 2])
     if len(runs) > 1:
@@ -329,7 +294,6 @@ def main(argv=None):
             runs[name].append(run_in_fresh_interpreter(name, num_forks))
     rigs = {name: median_run(each) for name, each in runs.items()}
     rigs["fork10k_tracing_off"].update(rigs.pop("tracing_overhead"))
-    shard_workers = rigs["fork10k_shard4"]["workers"]
 
     # Nominal, not raw: the two rigs run in different interpreters at
     # different times, and only nominal seconds correct for the host's
@@ -345,15 +309,6 @@ def main(argv=None):
     plane_sim = rigs["fork10k_connplane"]["sim_makespan_ms"]
     rigs["fork10k_connplane"]["connplane_makespan_reduction_pct"] = (
         100.0 * (rc_sim - plane_sim) / rc_sim if rc_sim > 0 else 0.0)
-    base_per_core = rigs["fork10k_unbatched"]["events_per_s_per_core"]
-    shard_per_core = rigs["fork10k_shard4"]["events_per_s_per_core"]
-    rigs["fork10k_shard4"]["shard_speedup"] = (
-        shard_per_core / base_per_core
-        if base_per_core and shard_per_core else 0.0)
-    shard_wall = rigs["fork10k_shard4"]["wall_s"]
-    rigs["fork10k_shard4"]["shard_wall_speedup"] = (
-        rigs["fork10k_unbatched"]["wall_s"] / shard_wall
-        if shard_wall > 0 else 0.0)
 
     payload = {
         "version": 1,
@@ -370,24 +325,16 @@ def main(argv=None):
         handle.write("\n")
 
     for name, rig in rigs.items():
-        nominal = rig.get("nominal_wall_s")
-        print("%-20s wall=%7.2fs nominal=%s events=%9d ev/s/core=%.0f "
-              "workers=%d rss=%d KB"
-              % (name, rig["wall_s"],
-                 "%7.2fs" % nominal if nominal is not None else "    raw",
-                 rig["events"], rig["events_per_s_per_core"],
-                 rig["workers"], rig["peak_rss_kb"]))
+        print("%-20s wall=%7.2fs nominal=%7.2fs events=%9d ev/s/core=%.0f "
+              "rss=%d KB"
+              % (name, rig["wall_s"], rig["nominal_wall_s"], rig["events"],
+                 rig["events_per_s_per_core"], rig["peak_rss_kb"]))
     print("fork batch-start nominal-wall reduction: %.1f%%"
           % rigs["fork10k_batched"]["wall_reduction_pct"])
     print("connection-plane sim-makespan reduction: %.1f%%"
           % rigs["fork10k_connplane"]["connplane_makespan_reduction_pct"])
     print("tracing-off (installed, disabled) overhead: %+.1f%%"
           % rigs["fork10k_tracing_off"]["tracing_off_overhead_pct"])
-    print("shard speedup (cpu-time basis, %d workers): %.2fx"
-          % (shard_workers, rigs["fork10k_shard4"]["shard_speedup"]))
-    print("shard speedup (wall basis, %d workers, %s cores): %.2fx"
-          % (shard_workers, os.cpu_count(),
-             rigs["fork10k_shard4"]["shard_wall_speedup"]))
     print("wrote %s" % args.out)
     return 0
 

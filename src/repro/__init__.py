@@ -21,7 +21,8 @@ Layering (bottom-up):
   the gray-failure defences.
 * :mod:`repro.fn` / :mod:`repro.openwhisk` — the Fn serverless framework
   integration and an OpenWhisk-style second framework.
-* :mod:`repro.shard` — the fork burst split across CPU cores.
+* :mod:`repro.shard` — only the ``REPRO_SHARDS`` knob's parse, kept so
+  a guard can refuse the removed sharded rig's setting.
 * :mod:`repro.workloads` / :mod:`repro.experiments` — traces, functions,
   and one harness per table/figure in the paper.
 * :mod:`repro.trace` / :mod:`repro.metrics` / :mod:`repro.sanitizers` —

@@ -1,7 +1,7 @@
 """Per-invoker advertisement caches: ahead-of-demand handle distribution.
 
 An *advertisement* is the record the plane pushes to likely invokers
-when a seed is registered, re-elected, or migrated: the seed's fork
+when a seed is registered, re-elected, or renewed: the seed's fork
 meta, its control DC-target handle, the per-VMA DCT keys (rkeys), the
 fencing generation, and the descriptor body itself.  An invoker holding
 a fresh advert forks without the per-fork descriptor-query RPC *and*

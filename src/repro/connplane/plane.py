@@ -7,8 +7,8 @@ installed by ``enable_connplane()``.  It owns a
 wires itself into the seams the rest of the stack already exposes:
 
 * **push on (re-)registration** — :meth:`advertise` runs whenever the
-  policy records a seed (provision, re-election, promotion, renewal,
-  migration) and pushes the advert to every likely invoker in the
+  policy records a seed (provision, re-election, promotion, renewal)
+  and pushes the advert to every likely invoker in the
   background (a one-way UD datagram each, off the fork critical path);
 * **piggyback on LB heartbeats** — :meth:`on_heartbeat` re-pushes any
   advert a healthy invoker is missing (it lost them in a crash, or a

@@ -313,6 +313,10 @@ class DescriptorService:
                 raise RpcError("bad fork meta in fallback")
             descriptor, shadow_task = entry
             vpn = args["vpn"]
+            if shadow_task.address_space.find_vma(vpn) is None:
+                # No VMA of the shadow covers the page: there is nothing
+                # to serve, and no storage load to charge.
+                raise RpcError("vpn %d outside the shadow's VMAs" % vpn)
             yield self.env.timeout(params.FALLBACK_RPC_PAGE_LATENCY)
             # The descriptor may have been retired during a sleep: its
             # shadow has exited and freed its frames and swap slots, so

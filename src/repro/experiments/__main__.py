@@ -11,7 +11,7 @@ Usage::
 import sys
 import time
 
-from . import ablations, analytic, connscale, faults, fig1, fig2, fig10, fig11, fig12, fig13, fig14, fig15, grayfaults, incast, shard, table1, tracecli, validate
+from . import ablations, analytic, connscale, faults, fig1, fig2, fig10, fig11, fig12, fig13, fig14, fig15, grayfaults, incast, table1, tracecli, validate
 from . import plots
 from .report import ms
 
@@ -72,7 +72,6 @@ def _registry(heavy, smoke=False):
             invoker_counts=(1, 2, 4, 8) if heavy else (2, 4, 8),
             smoke=smoke)[0]],
         "trace": lambda: [tracecli.run(smoke=smoke)],
-        "shard": lambda: [shard.run(smoke=smoke)],
         "validate": lambda: [validate.run()],
         "analytic": lambda: [analytic.run()],
         "ablations": lambda: [ablations.run_memory_control(),

@@ -1,4 +1,4 @@
-"""Fn serverless framework integration (§5): LB, invokers, policies, DAGs."""
+"""Fn serverless framework integration (§5): LB, invokers, policies, chains."""
 
 from .flow import FlowService
 from .framework import FnCluster
@@ -13,12 +13,10 @@ from .policies import (
     MitosisPolicy,
     StartPolicy,
 )
-from .scheduler import ChainResult, Dag, DagResult, DagScheduler
+from .scheduler import ChainResult, DagScheduler
 
 __all__ = [
     "ChainResult",
-    "Dag",
-    "DagResult",
     "ColdPolicy",
     "CriuPolicy",
     "DagScheduler",

@@ -84,13 +84,6 @@ class FnCluster:
         self.functions = {}
         self.records = []
         self._next_rr = 0
-        #: None, or a shard-ownership predicate over invoker indices
-        #: (``repro.shard``'s replica workers install one).  Called on
-        #: every dispatch pick; a False return truncates the invocation
-        #: right after the pick — the LB state mutation is kept, the
-        #: foreign work is skipped.  The default None is a single
-        #: attribute test and keeps behaviour byte-identical to the seed.
-        self.shard_filter = None
         #: None until :meth:`enable_faults`; every fault check in the
         #: invocation path is gated on this so the fail-free path is
         #: byte-identical to the seed behaviour.
@@ -211,16 +204,6 @@ class FnCluster:
                 finally:
                     if dspan is not None:
                         dspan.end()
-                if (self.shard_filter is not None
-                        and not self.shard_filter(invoker.index)):
-                    # Another shard owns this invocation: mirror the
-                    # dispatch bookkeeping (the pick above already
-                    # advanced LB state; the load increment below keeps
-                    # later same-burst picks identical across replicas)
-                    # and stop — the owning shard runs it for real and
-                    # contributes the record at merge time.
-                    invoker.outstanding += 1
-                    return None
                 if self.faults is not None and not invoker.alive:
                     # Dead but not yet detected by the health monitor: the
                     # dispatch RPC would never be answered — burn the

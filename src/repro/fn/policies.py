@@ -269,7 +269,7 @@ class MitosisPolicy(StartPolicy):
 
         Plain method, called at every point that records
         ``self.seeds[name]`` — provision, promotion, re-election,
-        re-preparation, renewal, migration.  A no-op without
+        re-preparation, renewal.  A no-op without
         :meth:`FnCluster.enable_connplane`, or when the descriptor
         already vanished again (the advert would be stale on arrival).
         """
@@ -476,7 +476,9 @@ class MitosisPolicy(StartPolicy):
     def renew_seed(self, fn_cluster, function_name):
         """Re-prepare a seed's descriptor (the §5 staleness countermeasure).
 
-        Generator; the platform calls this periodically (~10 min).
+        Generator returning the new fork meta; the old descriptor is
+        retired once the new one is published.  Nothing schedules it:
+        callers renew a seed explicitly.
         """
         invoker, seed, old_meta = self.seeds[function_name]
         node = fn_cluster.deployment.node(invoker.machine)
@@ -484,55 +486,4 @@ class MitosisPolicy(StartPolicy):
         node.retire_descriptor(old_meta)
         self.seeds[function_name] = (invoker, seed, meta)
         self._advertise(fn_cluster, function_name, invoker, meta, node=node)
-        return meta
-
-    def start_renewal_loop(self, fn_cluster, function_name,
-                           period=params.SEED_RENEW_PERIOD):
-        """Background process renewing the seed descriptor every ``period``
-        (§5: "we periodically renew the seed's container descriptor").
-        Returns the process (interrupt it to stop)."""
-        def loop():
-            while True:
-                yield fn_cluster.env.timeout(period)
-                if function_name not in self.seeds:
-                    return
-                yield from self.renew_seed(fn_cluster, function_name)
-
-        return fn_cluster.env.process(loop())
-
-    def migrate_seed(self, fn_cluster, function_name, target_invoker):
-        """Move a seed to another invoker via CRIU in the background (§5:
-        balances memory pressure between invokers).  Generator returning
-        the new fork meta; in-flight children of the old descriptor keep
-        working until the new one is published and the old one retired.
-        """
-        from ..criu import RcopySource, TmpfsStore, checkpoint, restore
-
-        env = fn_cluster.env
-        old_invoker, old_seed, old_meta = self.seeds[function_name]
-        if target_invoker.index == old_invoker.index:
-            raise ValueError("seed already lives on invoker %d"
-                             % target_invoker.index)
-        old_node = fn_cluster.deployment.node(old_invoker.machine)
-        new_node = fn_cluster.deployment.node(target_invoker.machine)
-
-        # Checkpoint the seed and restore it (vanilla) on the target.
-        image_name = "seed-migrate-%s" % function_name
-        image = yield from checkpoint(env, old_seed, image_name)
-        store = TmpfsStore(old_invoker.machine)
-        store.put(image)
-        source = RcopySource(env, fn_cluster.fabric, store,
-                             target_invoker.machine)
-        new_seed = yield from restore(env, target_invoker.runtime, source,
-                                      image_name, lazy=False)
-        target_invoker.track(new_seed)
-
-        # Publish the new descriptor before tearing the old seed down.
-        meta = yield from new_node.fork_prepare(new_seed)
-        self.seeds[function_name] = (target_invoker, new_seed, meta)
-        self._advertise(fn_cluster, function_name, target_invoker, meta,
-                        node=new_node)
-        old_node.retire_descriptor(old_meta)
-        old_invoker.destroy(old_seed)
-        store.delete(image_name)
         return meta

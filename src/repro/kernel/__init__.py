@@ -16,7 +16,6 @@ from .kernel import (
     Kernel,
     SwapStore,
 )
-from .mm_daemons import KsmDaemon, PageMigrator, ThpDaemon
 from .page_table import PageTable, Pte
 from .process import FileDescriptor, Registers, Task
 from .vma import AddressSpace, Vma, VmaKind
@@ -32,10 +31,8 @@ __all__ = [
     "FrameAllocator",
     "Kernel",
     "KernelError",
-    "KsmDaemon",
     "NamespaceSet",
     "OomKilled",
-    "PageMigrator",
     "PageTable",
     "Pte",
     "Registers",
@@ -43,7 +40,6 @@ __all__ = [
     "SWAP_OUT_LATENCY",
     "SegmentationFault",
     "SwapStore",
-    "ThpDaemon",
     "Task",
     "Vma",
     "VmaKind",

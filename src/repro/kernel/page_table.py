@@ -17,7 +17,7 @@ class Pte:
     """One page-table entry."""
 
     __slots__ = ("present", "writable", "cow", "remote", "swap_slot",
-                 "frame", "remote_pfn", "owner_index", "huge")
+                 "frame", "remote_pfn", "owner_index")
 
     def __init__(self):
         self.present = False
@@ -28,7 +28,6 @@ class Pte:
         self.frame = None         # local Frame when present
         self.remote_pfn = None    # parent physical frame number when remote
         self.owner_index = 0      # index into the predecessor list (4 bits)
-        self.huge = False         # part of a THP-collapsed huge mapping
 
     @staticmethod
     def owner_index_error(index):
@@ -71,20 +70,8 @@ class Pte:
         self.present = False
         return frame
 
-    def migrate_to(self, frame, huge=None):
-        """Replace the backing frame in place (KSM/THP/migration).
-
-        Permission and sharing bits are preserved; returns the old frame
-        (caller drops its ref).  ``huge`` overrides the huge bit when not
-        None (THP collapse).
-        """
-        old, self.frame = self.frame, frame
-        if huge is not None:
-            self.huge = huge
-        return old
-
     def share_cow(self):
-        """Downgrade the mapping to copy-on-write (fork / KSM sharing)."""
+        """Downgrade the mapping to copy-on-write (fork sharing)."""
         self.cow = True
 
     def break_cow_to(self, frame):
@@ -127,10 +114,9 @@ class Pte:
         """Copy the non-resident mapping bits from ``other`` (fork).
 
         Residency (present/frame/cow) is left alone — the forking kernel
-        decides sharing via :meth:`map_frame`; the huge bit is not
-        inherited (a child's mappings start as 4 KB COW); nor is a swap
-        slot, which the first swap-in frees: the forking kernel gives
-        the child a slot of its own (:meth:`set_swap_slot`)."""
+        decides sharing via :meth:`map_frame`; nor is a swap slot, which
+        the first swap-in frees: the forking kernel gives the child a
+        slot of its own (:meth:`set_swap_slot`)."""
         self.writable = other.writable
         self.remote = other.remote
         self.remote_pfn = other.remote_pfn
@@ -262,8 +248,8 @@ class PageTable:
 
         Flattens an attached snapshot first: every untouched snapshot vpn
         becomes a real PTE, and the map takes the eager copy's order.
-        Only walks that depend on that order use it: KSM, CRIU checkpoint
-        and :meth:`remote_vpns`.
+        Only walks that depend on that order use it: CRIU checkpoint and
+        :meth:`remote_vpns`.
         """
         base = self._base
         if base is not None:

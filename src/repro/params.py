@@ -184,8 +184,6 @@ FN_INVOKER_CONCURRENCY = 8
 FN_CACHE_KEEPALIVE = 30.0 * SEC
 #: Keepalive for MITOSIS seed containers (§5: "1 hour vs. 1 minute").
 SEED_KEEPALIVE = 1.0 * 3600 * SEC
-#: Seed-descriptor renewal period (§5: "periodically renew ... 10 minutes").
-SEED_RENEW_PERIOD = 10.0 * MINUTE
 #: Fn-flow data-passing baseline (Fig. 14a): an HTTP/Java relay service —
 #: heavyweight per-hop latency and modest goodput, which is why MITOSIS
 #: wins above the piggyback threshold (26-66% faster, §6.3).

@@ -18,10 +18,6 @@ raw-link-capacity              :func:`audit_fabric`
 qp-create-outside-connplane    :func:`audit_connplane`
 =============================  ==========================================
 
-:func:`audit_shard` has no static counterpart: it checks the sharded fork
-rig's merged result (replica pick digests, disjoint ownership, a
-complete record partition).
-
 All auditors return a list of human-readable violation strings (empty when
 clean); the ``check_*`` wrappers raise :class:`SanitizerViolation` instead.
 Tests opt in per-run; setting ``REPRO_SANITIZERS=1`` (see :func:`enabled`)
@@ -35,11 +31,11 @@ __all__ = [
     "SanitizerViolation", "enabled",
     "audit_frame_refcounts", "audit_memory_conservation",
     "audit_loop_drained", "audit_resilience", "audit_traces",
-    "audit_lineage", "audit_rig", "audit_fabric", "audit_shard",
+    "audit_lineage", "audit_rig", "audit_fabric",
     "audit_connplane",
     "check_frame_refcounts", "check_memory_conservation",
     "check_loop_drained", "check_resilience", "check_traces",
-    "check_lineage", "check_rig", "check_fabric", "check_shard",
+    "check_lineage", "check_rig", "check_fabric",
     "check_connplane",
 ]
 
@@ -518,11 +514,6 @@ def check_fabric(net):
     _check(audit_fabric(net))
 
 
-def check_shard(result):
-    """Raise :class:`SanitizerViolation` on any shard contract failure."""
-    _check(audit_shard(result))
-
-
 def check_connplane(plane):
     """Raise :class:`SanitizerViolation` on any connection-plane failure."""
     _check(audit_connplane(plane))
@@ -530,4 +521,3 @@ def check_connplane(plane):
 
 from .connplane import audit_connplane  # noqa: E402
 from .fabric import audit_fabric  # noqa: E402
-from .shard import audit_shard  # noqa: E402

@@ -1,26 +1,29 @@
-"""The sharded fork rig: the 10K-fork burst across CPU cores.
+"""The ``REPRO_SHARDS`` knob, kept so callers that guard it can refuse it.
 
-Every worker process runs an identical replica of the cluster, replays
-all submissions, and fully simulates only the invocations its shard
-owns; see :mod:`repro.shard.fork_rig` for why the burst allows this and
-how the result is checked against a single-core run.
-
-Armed via ``REPRO_SHARDS=N`` (the perf harness and the ``shard``
-experiment read it); unset, nothing in this package is imported by the
-hot path and behaviour is byte-identical to the seed.
+The sharded fork rig that read this knob was removed; nothing in the
+simulator reads it.  :func:`default_shards` keeps its parse, so a guard
+that refuses every armed ``REPRO_*`` knob still sees a run that sets it.
 """
 
-from .coordinator import ShardWorkerError, run_sharded_tasks
-from .fork_rig import (default_shards, diff_outcomes, differential,
-                       owner_of, run_sharded, run_single)
+import os
 
-__all__ = [
-    "ShardWorkerError",
-    "default_shards",
-    "diff_outcomes",
-    "differential",
-    "owner_of",
-    "run_sharded",
-    "run_sharded_tasks",
-    "run_single",
-]
+#: Environment knob: the worker count the removed sharded rig took.
+SHARDS_ENV_VAR = "REPRO_SHARDS"
+
+
+def default_shards():
+    """Worker count from ``REPRO_SHARDS`` (unset/empty/0 -> ``None``).
+
+    A negative count raises :class:`ValueError`.
+    """
+    raw = os.environ.get(SHARDS_ENV_VAR, "")
+    if raw in ("", "0"):
+        return None
+    workers = int(raw)
+    if workers < 1:
+        raise ValueError("%s=%r must be a positive worker count"
+                         % (SHARDS_ENV_VAR, raw))
+    return workers
+
+
+__all__ = ["SHARDS_ENV_VAR", "default_shards"]

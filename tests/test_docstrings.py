@@ -131,3 +131,10 @@ def test_readme_reprolint_rule_count():
     match = re.search(r"static-analysis pass: (\w+) per-file", _readme())
     assert match is not None
     assert NUMBER_WORDS.index(match.group(1)) == len(REGISTRY)
+
+
+def test_readme_names_every_experiment():
+    from repro.experiments.__main__ import _registry
+    match = re.search(r"^# experiments: (.+)$", _readme(), re.M)
+    assert match is not None
+    assert match.group(1).split() == list(_registry(False))

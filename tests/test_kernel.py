@@ -399,7 +399,7 @@ def pte_fields(pte):
     if pte is None:
         return None
     return (pte.present, pte.writable, pte.cow, pte.remote, pte.swap_slot,
-            pte.frame, pte.remote_pfn, pte.owner_index, pte.huge)
+            pte.frame, pte.remote_pfn, pte.owner_index)
 
 
 def eager_derivation(own, elder):

@@ -512,6 +512,42 @@ class TestPassiveAccessControl:
         assert counters.get("revocation_fallbacks", 0) == 0
         assert self._reclaim_racing_a_read(traced=True) == untraced
 
+    def test_fallback_rejects_a_vpn_outside_the_shadows_vmas(self, rig):
+        """The daemon serves only pages some VMA of the shadow covers: a
+        vpn outside them is answered with an RpcError at once, with no
+        page or storage latency charged."""
+        env, cluster, runtimes, deployment = rig
+        parent = start_parent(env, runtimes[0])
+        node0 = deployment.node(cluster.machine(0))
+        space = parent.task.address_space
+        heap = space.vmas[3]
+        untouched = heap.end_vpn
+        space.grow(heap, 1)  # a heap page nobody has touched
+        outside = 0x7FFFF
+        assert space.find_vma(outside) is None
+        meta = run(env, node0.fork_prepare(parent))
+
+        def fallback(vpn):
+            started = env.now
+            try:
+                answer = yield from deployment.rpc.call(
+                    cluster.machine(1), cluster.machine(0),
+                    "mitosis.fallback_page",
+                    {"handler_id": meta.handler_id,
+                     "auth_key": meta.auth_key, "vpn": vpn},
+                    request_bytes=params.FALLBACK_RPC_REQUEST_BYTES)
+            except RpcError as exc:
+                answer = str(exc)
+            return answer, env.now - started
+
+        served, served_elapsed = run(env, fallback(untouched))
+        assert served == "m0/storage/v%d" % untouched
+        rejected, rejected_elapsed = run(env, fallback(outside))
+        assert rejected == "vpn %d outside the shadow's VMAs" % outside
+        assert served_elapsed - rejected_elapsed > (
+            params.FALLBACK_RPC_PAGE_LATENCY
+            + params.FALLBACK_STORAGE_PAGE_LATENCY)
+
 
 class TestPageSharing:
     def test_second_child_hits_local_cache(self, rig):

@@ -28,7 +28,7 @@ compare = _load_compare()
 def _fork_rig(nominal_wall, batch_pages=0, **extra):
     rig = {"wall_s": 3.0 * nominal_wall, "cpu_s": 3.0 * nominal_wall,
            "nominal_wall_s": nominal_wall, "nominal_cpu_s": nominal_wall,
-           "events": 1000, "workers": 1, "forks": 10000,
+           "events": 1000, "forks": 10000,
            "batch_pages": batch_pages}
     rig.update(extra)
     return rig
@@ -46,11 +46,6 @@ def _baseline():
             "fork10k_rc": _fork_rig(4.0, batch_pages=8),
             "fork10k_connplane": _fork_rig(
                 4.5, batch_pages=8, connplane_makespan_reduction_pct=80.0),
-            "fork10k_shard4": {"wall_s": 35.0, "cpu_s": 50.0,
-                               "events": 1000, "workers": 4,
-                               "forks": 10000, "batch_pages": 0,
-                               "shard_speedup": 3.9,
-                               "shard_wall_speedup": 1.6},
             "grayfaults_smoke": _fork_rig(5.0),
         },
     }
@@ -104,7 +99,6 @@ def test_raw_wall_is_not_the_per_rig_basis(tmp_path):
 @pytest.mark.parametrize("rig, key, value", [
     ("fork10k_unbatched", "forks", 1000),
     ("fork10k_batched", "batch_pages", 4),
-    ("fork10k_shard4", "workers", 2),
 ])
 def test_refuses_other_rig_parameters(tmp_path, capsys, rig, key, value):
     assert _gate(tmp_path, _set(rig, key, value)) == 2
@@ -124,7 +118,6 @@ def test_refuses_another_python_minor(tmp_path, capsys, version, code):
 @pytest.mark.parametrize("rig, field, failing, passing", [
     ("fork10k_batched", "wall_reduction_pct", 24.0, 26.0),
     ("fork10k_tracing_off", "tracing_off_overhead_pct", 2.5, 1.5),
-    ("fork10k_shard4", "shard_speedup", 1.9, 2.1),
     ("fork10k_connplane", "connplane_makespan_reduction_pct", 14.0, 16.0),
 ])
 def test_same_run_gates(tmp_path, rig, field, failing, passing):
@@ -137,7 +130,3 @@ def test_missing_rig_fails(tmp_path, capsys):
         del run["rigs"]["fork10k_rc"]
     assert _gate(tmp_path, edit) == 1
     assert "rig 'fork10k_rc' missing" in capsys.readouterr().err
-
-
-def test_multi_worker_rig_stays_out_of_the_wall_gate(tmp_path):
-    assert _gate(tmp_path, _set("fork10k_shard4", "wall_s", 100.0)) == 0

@@ -1,8 +1,5 @@
-"""Tests for seed renewal and background CRIU seed migration (§5)."""
+"""Tests for seed descriptor renewal (§5)."""
 
-import pytest
-
-from repro import params
 from repro.fn import FnCluster, MitosisPolicy
 from repro.workloads import tc0_profile
 
@@ -19,19 +16,7 @@ def run(fn, gen):
 
 
 class TestSeedRenewalLoop:
-    def test_loop_renews_on_schedule(self):
-        fn, policy = make_cluster()
-        profile = tc0_profile()
-
-        def body():
-            yield from fn.register(profile)
-            first_meta = policy.seeds["TC0"][2]
-            policy.start_renewal_loop(fn, "TC0", period=1 * params.SEC)
-            yield fn.env.timeout(2.5 * params.SEC)
-            return first_meta, policy.seeds["TC0"][2]
-
-        first, current = run(fn, body())
-        assert current != first  # renewed at least once
+    """``MitosisPolicy.renew_seed``, which callers invoke explicitly."""
 
     def test_renewed_descriptor_reflects_new_parent_state(self):
         fn, policy = make_cluster()
@@ -55,7 +40,7 @@ class TestSeedRenewalLoop:
 
     def test_stale_descriptor_still_serves_old_state(self):
         # Until renewal, children fork the checkpointed (shadow) state —
-        # the §5 staleness the renewal period bounds.
+        # the §5 staleness that renewal bounds.
         fn, policy = make_cluster()
         profile = tc0_profile()
 
@@ -73,77 +58,3 @@ class TestSeedRenewalLoop:
 
         content = run(fn, body())
         assert content != "after-prepare"
-
-
-class TestSeedMigration:
-    def test_migration_moves_seed_and_keeps_forking(self):
-        fn, policy = make_cluster()
-        profile = tc0_profile()
-
-        def body():
-            yield from fn.register(profile)
-            old_invoker = policy.seeds["TC0"][0]
-            target = next(i for i in fn.invokers
-                          if i.index != old_invoker.index)
-            yield from policy.migrate_seed(fn, "TC0", target)
-            new_invoker, new_seed, new_meta = policy.seeds["TC0"]
-            record = yield from fn.invoke("TC0")
-            return (old_invoker.index, new_invoker.index,
-                    len(old_invoker.live_containers), record)
-
-        old_idx, new_idx, old_live, record = run(fn, body())
-        assert new_idx != old_idx
-        assert old_live == 0          # old seed torn down
-        assert record.start_kind == "mitosis"
-
-    def test_migration_to_same_invoker_rejected(self):
-        fn, policy = make_cluster()
-        profile = tc0_profile()
-
-        def body():
-            yield from fn.register(profile)
-            seed_invoker = policy.seeds["TC0"][0]
-            with pytest.raises(ValueError):
-                yield from policy.migrate_seed(fn, "TC0", seed_invoker)
-            return True
-
-        assert run(fn, body())
-
-    def test_migration_frees_old_machine_memory(self):
-        fn, policy = make_cluster()
-        profile = tc0_profile()
-
-        def body():
-            yield from fn.register(profile)
-            old_invoker = policy.seeds["TC0"][0]
-            target = next(i for i in fn.invokers
-                          if i.index != old_invoker.index)
-            before = old_invoker.machine.memory.used
-            yield from policy.migrate_seed(fn, "TC0", target)
-            return before, old_invoker.machine.memory.used
-
-        before, after = run(fn, body())
-        assert after < before / 2
-
-    def test_old_children_survive_migration(self):
-        # A child forked before the migration keeps its already-fetched
-        # pages; only *new* faults would hit the retired descriptor.
-        fn, policy = make_cluster()
-        profile = tc0_profile()
-
-        def body():
-            yield from fn.register(profile)
-            old_invoker, seed, meta = policy.seeds["TC0"]
-            heap = seed.task.address_space.vmas[3]
-            node1 = fn.deployment.node(fn.invokers[1].machine)
-            child = yield from node1.fork_resume(meta)
-            fetched = yield from child.kernel.touch(child.task,
-                                                    heap.start_vpn)
-            target = next(i for i in fn.invokers
-                          if i.index != old_invoker.index)
-            yield from policy.migrate_seed(fn, "TC0", target)
-            still = yield from child.kernel.touch(child.task, heap.start_vpn)
-            return fetched, still
-
-        fetched, still = run(fn, body())
-        assert fetched == still

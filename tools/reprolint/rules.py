@@ -189,7 +189,7 @@ def no_bare_except(f):
 # --- no-raw-pte-mutation ------------------------------------------------------
 
 _PTE_FIELDS = {"present", "writable", "cow", "remote", "remote_pfn",
-               "owner_index", "swap_slot", "frame", "huge"}
+               "owner_index", "swap_slot", "frame"}
 _FRAME_FIELDS = {"refcount", "live"}
 _PTE_OWNERS = ("src/repro/kernel/page_table.py", "src/repro/kernel/frames.py")
 
