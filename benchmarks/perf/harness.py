@@ -34,12 +34,12 @@ recorded that way.
 
 Host seconds follow perfbench's host-speed model (``perfbench/timing.py``):
 each fork rig runs dry in slices of :data:`SLICE_SPAN` simulated time,
-with a reference chunk timed after every slice.
-``grayfaults_smoke`` runs its loop inside ``grayfaults.run``, so it is
-scaled by the reference speed sampled right before and after it.  Each
-of these rigs reports its raw ``wall_s``/``cpu_s`` (reference excluded)
-and the ``nominal_wall_s``/``nominal_cpu_s`` that ``compare.py`` holds
-against the baseline.
+and ``grayfaults_smoke`` steps each variant of ``grayfaults.run(smoke=True)``
+in batches of :data:`STEP_BATCH` events until its replay process is
+processed, with a reference chunk timed after every slice or batch.
+Each of these rigs reports its raw ``wall_s``/``cpu_s`` (reference
+excluded) and the ``nominal_wall_s``/``nominal_cpu_s`` that
+``compare.py`` holds against the baseline.
 
 Usage::
 
@@ -66,7 +66,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import timing  # noqa: E402
 from repro import params  # noqa: E402
-from repro.experiments import grayfaults  # noqa: E402
 from repro.fn import FnCluster, MitosisPolicy  # noqa: E402
 from repro.trace import Tracer  # noqa: E402
 from repro.workloads import tc0_profile  # noqa: E402
@@ -80,18 +79,14 @@ TRACE_OVERHEAD_PAIRS = 10
 #: Simulated span of one timing slice (perfbench's ``fork_burst`` slice).
 SLICE_SPAN = 1.0 * params.MS
 
+#: Events per timed batch of ``grayfaults_smoke`` (~10 ms of host time,
+#: so the reference chunk after each adds under 1%).
+STEP_BATCH = 2000
+
 
 def _peak_rss_kb():
     """This process's peak RSS in KB (a monotonic high-water mark)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def _timed(fn):
-    """Run ``fn`` -> (result, wall_seconds, cpu_seconds)."""
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    result = fn()
-    return result, time.perf_counter() - wall0, time.process_time() - cpu0
 
 
 def _host_fields(wall, cpu, nominal_wall, nominal_cpu, events):
@@ -188,19 +183,37 @@ def measure_tracing_overhead(num_forks, pairs=TRACE_OVERHEAD_PAIRS):
     return statistics.median(diffs), diffs
 
 
-def run_grayfaults_smoke():
-    """CI-sized brownout replay (faults + resilience layers).
+def step_until(env, process):
+    """Step ``env`` until ``process`` is processed, in timed batches of
+    :data:`STEP_BATCH` events with a reference chunk after each: the
+    events ``env.run(until=process)`` would process.  Returns one
+    ``timing.Slice`` per batch."""
+    slices = []
+    step = env.step
+    while not process.processed:
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(STEP_BATCH):
+            step()
+            if process.processed:
+                break
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        slices.append(timing.Slice(wall, cpu, *timing.timed_reference()))
+    return slices
 
-    Its loop runs inside ``grayfaults.run`` and cannot be sliced, so its
-    raw seconds are scaled by the reference speed sampled right before
-    and right after it, as perfbench's set-up probe does.
-    """
-    before = timing.reference_speed()
-    (_, runs), wall, cpu = _timed(lambda: grayfaults.run(smoke=True))
-    speed = (before + timing.reference_speed()) / 2
-    scale = timing.REFERENCE_NOMINAL_S / speed
-    events = sum(fn.env.events_processed for fn, _, _ in runs.values())
-    return _host_fields(wall, cpu, wall * scale, cpu * scale, events)
+
+def run_grayfaults_smoke():
+    """CI-sized brownout replay (faults + resilience layers): each variant
+    of ``grayfaults.run(smoke=True)``, built untimed, then stepped by
+    :func:`step_until`."""
+    from repro.experiments import grayfaults
+    slices, events = [], 0
+    for _, brownout in grayfaults.variants(smoke=True):
+        slices += step_until(brownout.fn.env, brownout.replay)
+        fn, _, _ = brownout.finish()
+        events += fn.env.events_processed
+    return _host_fields(sum(s.wall for s in slices),
+                        sum(s.cpu for s in slices),
+                        *timing.nominal(slices), events)
 
 
 def _tracing_overhead(num_forks):

@@ -29,8 +29,42 @@ Layering (bottom-up):
   spans over simulated time, counters and series, runtime audits.
 """
 
+from importlib import import_module
+
 from . import params
 
 __version__ = "1.0.0"
 
-__all__ = ["params", "__version__"]
+__all__ = ["params", "__version__", "lazy_exports"]
+
+
+def lazy_exports(namespace, table):
+    """A PEP 562 module ``__getattr__`` that loads public names on use.
+
+    ``namespace`` is the package's ``globals()``; ``table`` maps each of
+    its submodules (relative, ``".injector"``) to the names it exports.
+    The first access of a name imports its submodule and binds the name
+    in ``namespace``, so later accesses never reach this hook and
+    ``from package import Name`` works as with an eager import.  An
+    opt-in layer's package keeps eagerly only what a default run reads
+    and exports the rest this way, so a run that never arms the layer
+    never imports its implementation.
+
+    A lazy name must differ from every submodule's name: importing the
+    submodule binds the package attribute to the module itself, which
+    would then shadow the name.
+    """
+    home = {name: submodule
+            for submodule, names in table.items() for name in names}
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        submodule = home.get(name)
+        if submodule is None:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (package, name))
+        value = namespace[name] = getattr(
+            import_module(submodule, package), name)
+        return value
+
+    return __getattr__

@@ -20,13 +20,19 @@ for the simulated cluster:
 
 Armed via ``REPRO_CONNPLANE=1`` or :meth:`FnCluster.enable_connplane`;
 off (the default) every hook is a single ``is None`` test and the event
-sequence is byte-identical to the seed.
+sequence is byte-identical to the seed.  Importing the package loads only
+:func:`default_connplane`; every other name loads its submodule on first
+access (:func:`repro.lazy_exports`), so an unarmed run never imports the
+plane.
 """
 
-from .. import params
-from .advert import AdvertCache, AdvertEntry
-from .plane import ConnPlane
-from .pool import QpLease, QpPool
+from .. import lazy_exports, params
+
+__getattr__ = lazy_exports(globals(), {
+    ".advert": ("AdvertCache", "AdvertEntry"),
+    ".plane": ("ConnPlane",),
+    ".pool": ("QpLease", "QpPool"),
+})
 
 __all__ = [
     "AdvertCache", "AdvertEntry", "ConnPlane", "QpLease", "QpPool",

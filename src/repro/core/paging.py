@@ -40,7 +40,6 @@ from ..lineage.errors import StaleGeneration
 from ..metrics import CounterSet
 from ..rdma import ConnectionError_, RemoteAccessError, read_legs
 from ..rdma.rpc import RpcError, RpcTimeout
-from ..resilience import CircuitBreaker, HedgeTracker
 from ..sim import Interrupt
 
 
@@ -63,9 +62,14 @@ def default_batch_pages():
 
 
 class PagerResilience:
-    """Per-pager gray-failure defenses: fallback breakers + read hedging."""
+    """Per-pager gray-failure defenses: fallback breakers + read hedging.
+
+    Made only when resilience is armed, so it imports
+    :mod:`repro.resilience` where it uses it.
+    """
 
     def __init__(self):
+        from ..resilience import HedgeTracker
         #: owner machine_id -> CircuitBreaker guarding the RPC fallback
         #: path to that peer.
         self.breakers = {}
@@ -76,6 +80,7 @@ class PagerResilience:
         """The (lazily created) breaker for one owner machine."""
         breaker = self.breakers.get(machine_id)
         if breaker is None:
+            from ..resilience import CircuitBreaker
             breaker = CircuitBreaker("pager-fallback-m%d" % machine_id)
             self.breakers[machine_id] = breaker
         return breaker

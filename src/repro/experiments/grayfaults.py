@@ -51,13 +51,42 @@ def _queue_monitor(fn, stop, stats):
         yield fn.env.timeout(params.FN_HEARTBEAT_TIMEOUT)
 
 
-def replay_brownout(profile, degraded=True, resilience=False, scale=0.02,
-                    num_invokers=2, seed=0, burst_size=100,
-                    nic_slowdown=NIC_SLOWDOWN, cpu_steal=CPU_STEAL):
-    """One spike replay, optionally browning out the seed machine.
+class Brownout:
+    """One variant of the replay, built by :func:`build_brownout`.
 
-    Returns ``(fn_cluster, records, stats)`` where ``stats`` carries the
-    queue-depth high-water mark.
+    Advance ``fn.env`` until :attr:`replay` is processed, as
+    ``env.run(until=replay)`` does, then call :meth:`finish`.
+    """
+
+    def __init__(self, fn, replay, stop, stats):
+        self.fn = fn
+        #: The replay process: the variant has run once it is processed.
+        self.replay = replay
+        self._stop = stop
+        #: The queue monitor's samples (``max_queue``).
+        self.stats = stats
+
+    def finish(self):
+        """Stop the queue monitor and the fault daemons after the replay,
+        and audit the rig when sanitizers are on.
+
+        Returns ``(fn_cluster, records, stats)``.
+        """
+        self._stop[0] = True
+        self.fn.stop_fault_daemons()
+        if sanitizers.enabled():
+            sanitizers.check_rig(self.fn)
+        return self.fn, self.replay.value, self.stats
+
+
+def build_brownout(profile, degraded=True, resilience=False, scale=0.02,
+                   num_invokers=2, seed=0, burst_size=100,
+                   nic_slowdown=NIC_SLOWDOWN, cpu_steal=CPU_STEAL):
+    """One spike replay, optionally browning out the seed machine, built
+    but not run: the cluster with ``profile`` registered, the brownout
+    scheduled, the queue monitor and the replay process started.
+
+    Returns a :class:`Brownout`.
     """
     fn = FnCluster(MitosisPolicy(), num_invokers=num_invokers,
                    num_machines=num_invokers + 3, num_dfs_osds=2, seed=seed)
@@ -99,12 +128,25 @@ def replay_brownout(profile, degraded=True, resilience=False, scale=0.02,
     def replay():
         return (yield from fn.replay(profile.name, arrivals))
 
-    records = fn.env.run(fn.env.process(replay()))
-    stop[0] = True
-    fn.stop_fault_daemons()
-    if sanitizers.enabled():
-        sanitizers.check_rig(fn)
-    return fn, records, stats
+    return Brownout(fn, fn.env.process(replay()), stop, stats)
+
+
+def variants(scale=0.02, num_invokers=2, seed=0, burst_size=100,
+             smoke=False):
+    """Yield ``(name, Brownout)`` for the fail-free, brownout and
+    brownout+resilience variants, building each only when asked for it,
+    so a caller that runs and finishes each before the next runs them in
+    :func:`run`'s order.  ``smoke`` shrinks the replay for CI (fewer
+    arrivals, same fault window proportions and contrast)."""
+    if smoke:
+        scale, burst_size = scale * 0.4, min(burst_size, 40)
+    profile = tc0_profile()
+    for variant, degraded, resilience in (("fail-free", False, False),
+                                          ("brownout", True, False),
+                                          ("brownout+resil", True, True)):
+        yield variant, build_brownout(
+            profile, degraded=degraded, resilience=resilience, scale=scale,
+            num_invokers=num_invokers, seed=seed, burst_size=burst_size)
 
 
 def _pager_total(fn, name):
@@ -116,25 +158,19 @@ def run(scale=0.02, num_invokers=2, seed=0, burst_size=100, smoke=False):
     """Fail-free vs brownout vs brownout+resilience.
 
     Returns ``(report, runs dict)``.  ``smoke`` shrinks the replay for
-    CI (fewer arrivals, same fault window proportions and contrast).
+    CI (see :func:`variants`).
     """
-    if smoke:
-        scale, burst_size = scale * 0.4, min(burst_size, 40)
     report = ExperimentReport(
         "grayfaults",
         "TC0 spike under a seed-host brownout (slow NIC + CPU steal)",
         notes="fail-free must match the seed numbers; resilience bounds "
               "p99 and the admission backlog by shedding past-deadline "
               "work instead of queueing it")
-    profile = tc0_profile()
     runs = {}
-    variants = (("fail-free", False, False),
-                ("brownout", True, False),
-                ("brownout+resil", True, True))
-    for variant, degraded, resilience in variants:
-        fn, records, stats = replay_brownout(
-            profile, degraded=degraded, resilience=resilience, scale=scale,
-            num_invokers=num_invokers, seed=seed, burst_size=burst_size)
+    for variant, brownout in variants(scale, num_invokers, seed, burst_size,
+                                      smoke):
+        brownout.fn.env.run(until=brownout.replay)
+        fn, records, stats = brownout.finish()
         runs[variant] = (fn, records, stats)
         completed = [r for r in records if r.outcome in ("ok", "recovered")]
         latencies = [r.latency for r in completed]

@@ -16,14 +16,17 @@ Two rigs:
    ``trace_event`` JSON (load it at https://ui.perfetto.dev) plus a
    compact text tree.
 
-:func:`fault_cost` prices every page-fault path of docs/INTERNALS.md §3
-the same way :func:`resume_cost` prices the resume phases, and
-:func:`batch_cost` one doorbelled READ of n pages; tier-1 times one
-fault of each path and one READ of each batch size against them.
+:func:`prepare_cost` prices one ``fork_prepare`` (docs/INTERNALS.md
+§1), :func:`fault_cost` every page-fault path of §3 the same way
+:func:`resume_cost` prices the resume phases, and :func:`batch_cost`
+one doorbelled READ of n pages; tier-1 times a first and a multi-hop
+``fork_prepare``, one fault of each path and one READ of each batch
+size against them.
 """
 
 from .. import params
 from ..core.descriptor import ForkMeta
+from ..kernel.kernel import FORK_LOCAL_BASE, FORK_LOCAL_PER_PTE
 from ..fn import FnCluster, MitosisPolicy
 from ..sanitizers import check_traces
 from ..trace import Tracer, breakdown, critical_path, text_tree, \
@@ -73,6 +76,18 @@ def resume_cost(rig, descriptor, child):
                          + params.DESCRIPTOR_RESTORE_BASE),
         "rebuild": rebuild,
     }
+
+
+def prepare_cost(num_ptes, resident_bytes):
+    """Closed-form us of one ``fork_prepare`` on an idle rig, from the
+    constants docs/INTERNALS.md §1 names: the shadow's local fork prices
+    every PTE of the parent's table, ``num_ptes`` (its ``len()``, which
+    counts every vpn of a resumed child's snapshot overlay), then
+    condensing the descriptor prices the parent's ``resident_bytes``.
+    The DC targets come from the prefilled pool and cost nothing."""
+    return (FORK_LOCAL_BASE + FORK_LOCAL_PER_PTE * num_ptes
+            + params.FORK_PREPARE_BASE
+            + params.FORK_PREPARE_PER_MB * (resident_bytes / params.MB))
 
 
 def fault_cost(wire=0.0, reconnect=False):

@@ -23,13 +23,20 @@ Gating invariant (same contract as every optional layer): the model is
 **off by default** (``RdmaFabric.net is None``) and arming is explicit
 (``FnCluster.enable_fabric()`` or ``REPRO_FABRIC=flat|dcqcn``).  With
 it off, not one line here runs and the fail-free event sequence is
-byte-identical to the seed's.
+byte-identical to the seed's.  Importing the package loads only
+:data:`FABRIC_MODES` and :func:`default_fabric_mode`; the four classes
+load their submodule on first access (:func:`repro.lazy_exports`), so
+an unarmed run never imports the model.
 """
 
 import os
 
-from .topology import ClosFabricTopology, FabricLink
-from .network import FabricFlow, FabricNetwork
+from .. import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".topology": ("ClosFabricTopology", "FabricLink"),
+    ".network": ("FabricFlow", "FabricNetwork"),
+})
 
 #: Accepted ``REPRO_FABRIC`` values and the mode each selects.
 FABRIC_MODES = ("flat", "dcqcn")

@@ -11,6 +11,12 @@ saturation storms) as discrete events
 (:mod:`~repro.faults.errors`) the recovery paths in ``rdma``, ``core``,
 and ``fn`` raise.  With no injector installed every fault check is a
 single ``is None`` test — the fail-free path stays zero-cost.
+
+Importing the package loads only the typed errors, which the default
+path catches; the injector and every schedule event load their
+submodule on first access (:func:`repro.lazy_exports`), so a run that
+never calls :meth:`~repro.fn.FnCluster.enable_faults` never imports
+them.
 """
 
 from .errors import (
@@ -23,21 +29,14 @@ from .errors import (
     ParentUnreachable,
     SeedUnavailable,
 )
-from .injector import FaultInjector, MachineCrashCause
-from .schedule import (
-    CpuSteal,
-    FabricCut,
-    FabricDegrade,
-    FaultEvent,
-    FaultSchedule,
-    LinkCut,
-    LossyLink,
-    MachineCrash,
-    NicFlap,
-    NicSaturation,
-    SlowNic,
-    UdDropStorm,
-)
+from .. import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".injector": ("FaultInjector", "MachineCrashCause"),
+    ".schedule": ("CpuSteal", "FabricCut", "FabricDegrade", "FaultEvent",
+                  "FaultSchedule", "LinkCut", "LossyLink", "MachineCrash",
+                  "NicFlap", "NicSaturation", "SlowNic", "UdDropStorm"),
+})
 
 __all__ = [
     "AdmissionShed",
@@ -55,6 +54,7 @@ __all__ = [
     "LossyLink",
     "MachineCrash",
     "MachineCrashCause",
+    "MachineCrashed",
     "NicFlap",
     "NicSaturation",
     "ParentUnreachable",

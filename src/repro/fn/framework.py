@@ -9,21 +9,19 @@ RDMA-capable invokers.
 
 from .. import params
 from ..cluster import Cluster
-from ..connplane import ConnPlane, default_connplane
+from ..connplane import default_connplane
 from ..containers import ContainerRuntime
 from ..core import MitosisDeployment
 from ..dfs import CephLikeDfs
-from ..fabricnet import FabricNetwork, default_fabric_mode
-from ..faults import FaultInjector
+from ..fabricnet import default_fabric_mode
 from ..faults.errors import AdmissionShed, DeadlineExceeded, FaultError
 from ..kernel import Kernel
-from ..lineage import LineageRuntime, default_seed_replicas
+from ..lineage import default_seed_replicas
 from ..metrics import CounterSet, RecoveryLog, TimeSeries
 from ..rdma import ConnectionError_, RdmaFabric, RpcError, RpcRuntime
 from ..rdma.rpc import RpcTimeout
-from ..resilience import InvocationContext, RetryBudget
 from ..sim import Environment, Interrupt, SeededStreams
-from ..trace import maybe_install
+from ..trace.tracer import maybe_install
 from ..workloads import execute
 from .functions import FnFunction, InvocationRecord
 from .health import HealthMonitor
@@ -164,6 +162,7 @@ class FnCluster:
         try:
             ctx = None
             if self.resilience is not None:
+                from ..resilience import InvocationContext, RetryBudget
                 ctx = InvocationContext(
                     submitted_at,
                     deadline_at=(
@@ -495,6 +494,7 @@ class FnCluster:
         Returns the injector.
         """
         if self.faults is None:
+            from ..faults import FaultInjector
             self.faults = FaultInjector(self.env, self.cluster,
                                         streams=self.streams)
             self.faults.install(self.fabric)
@@ -530,6 +530,7 @@ class FnCluster:
             mode = default_fabric_mode()
         if mode is None:
             return None
+        from ..fabricnet import FabricNetwork
         self.fabric.net = FabricNetwork(self.env, self.cluster, mode=mode)
         return self.fabric.net
 
@@ -546,6 +547,7 @@ class FnCluster:
         byte-identical to the seed.  Idempotent; returns the plane.
         """
         if self.connplane is None:
+            from ..connplane import ConnPlane
             self.connplane = ConnPlane(self.env, self.deployment, self.rpc,
                                        pool_bytes=pool_bytes)
             self.connplane.attach_invokers(lambda: self.invokers)
@@ -590,6 +592,7 @@ class FnCluster:
         if self.faults is None:
             raise RuntimeError(
                 "enable_lineage() requires enable_faults() first")
+        from ..lineage import LineageRuntime
         self.lineage = LineageRuntime(self, replicas)
         for node in self.deployment.nodes():
             node.pager.lineage = self.lineage

@@ -20,7 +20,11 @@ package adds the control-plane capability ROADMAP item 2 names:
 Everything is gated on :meth:`repro.fn.FnCluster.enable_lineage` (or
 ``REPRO_SEED_REPLICAS=K`` picked up by ``enable_faults``): with
 replication off the event sequence stays byte-identical to the seed —
-the repo-wide invariant.
+the repo-wide invariant.  Importing the package loads only
+:class:`StaleGeneration` (the pager and the descriptor daemon catch it)
+and :func:`default_seed_replicas`; the registry, the runtime and the
+log load their submodule on first access (:func:`repro.lazy_exports`),
+so an unarmed run never imports them.
 
 Generations are *fencing tokens*: they are compared monotonically
 (``stale < fence``), never for equality — the ``stale-generation-compare``
@@ -29,11 +33,14 @@ reprolint rule enforces this repo-wide.
 
 import os
 
-from .. import params
+from .. import lazy_exports, params
 from .errors import StaleGeneration
-from .registry import LineageRegistry
-from .runtime import LineageRuntime
-from .wal import WalRecord, WriteAheadLog
+
+__getattr__ = lazy_exports(globals(), {
+    ".registry": ("LineageRegistry",),
+    ".runtime": ("LineageRuntime",),
+    ".wal": ("WalRecord", "WriteAheadLog"),
+})
 
 
 def default_seed_replicas():

@@ -1,28 +1,33 @@
 """The perf gate itself: ``benchmarks/perf/compare.py`` on synthetic files.
 
-No simulation runs here.  Each check of the gate is seen to fail once
-and to pass once, so a gate that can no longer fail shows up in tier-1.
+No rig runs here.  Each check of the gate is seen to fail once and to
+pass once, so a gate that can no longer fail shows up in tier-1.  The
+harness's stepped timing loop runs on a toy loop.
 """
 
 import copy
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
-COMPARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                       "benchmarks", "perf", "compare.py")
+from repro.sim import Environment
+
+PERF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                    "benchmarks", "perf")
 
 
-def _load_compare():
-    spec = importlib.util.spec_from_file_location("perf_compare", COMPARE)
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(PERF, filename))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-compare = _load_compare()
+compare = _load("perf_compare", "compare.py")
 
 
 def _fork_rig(nominal_wall, batch_pages=0, **extra):
@@ -130,3 +135,36 @@ def test_missing_rig_fails(tmp_path, capsys):
         del run["rigs"]["fork10k_rc"]
     assert _gate(tmp_path, edit) == 1
     assert "rig 'fork10k_rc' missing" in capsys.readouterr().err
+
+
+def test_step_until_processes_what_run_until_does(monkeypatch):
+    """``harness.step_until`` stops on the step that processes the
+    process, as ``env.run(until=process)`` does, with a daemon still
+    ticking; each batch is one timed slice."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # harness adds to it
+    harness = _load("perf_harness", "harness.py")
+    monkeypatch.setattr(harness, "STEP_BATCH", 7)
+
+    def build():
+        env = Environment()
+
+        def daemon():
+            while True:
+                yield env.timeout(1.0)
+
+        def work():
+            for _ in range(30):
+                yield env.timeout(0.7)
+            return "done"
+
+        env.process(daemon())
+        return env, env.process(work())
+
+    ran, process = build()
+    ran.run(until=process)
+    stepped, stepped_process = build()
+    slices = harness.step_until(stepped, stepped_process)
+    assert stepped_process.value == "done"
+    assert (stepped.events_processed, stepped.now) == (
+        ran.events_processed, ran.now)
+    assert len(slices) == -(-ran.events_processed // 7)

@@ -21,6 +21,7 @@ from repro.experiments import tracecli
 from repro.experiments.rigs import PrimitiveRig
 from repro.faults import FaultInjector
 from repro.kernel import VmaKind
+from repro.kernel.kernel import FORK_LOCAL_BASE, FORK_LOCAL_PER_PTE
 from repro.rdma import DcQp, RcQp
 from repro.sanitizers import SanitizerViolation, audit_traces, check_traces
 from repro.sim import Environment
@@ -551,6 +552,80 @@ class TestClosedForm:
                 for m in (0, 1)] == [3, 3]
 
 
+def _internals_section(number):
+    """The text of docs/INTERNALS.md's ``## <number>.`` section."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "docs", "INTERNALS.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("## %d." % number)
+    return text[start:text.index("## %d." % (number + 1), start)]
+
+
+class TestPrepareCost:
+    """INTERNALS §1 against :func:`tracecli.prepare_cost`: a first
+    descriptor, and a multi-hop one whose shadow fork prices every PTE
+    of the child's snapshot overlay, built or not."""
+
+    @staticmethod
+    def _timed_prepare(rig, machine, container):
+        start = rig.env.now
+        meta = yield from rig.node(machine).fork_prepare(container)
+        return meta, rig.env.now - start
+
+    def test_first_and_multi_hop_prepare_match_closed_form(self):
+        rig = PrimitiveRig(num_machines=3, num_dfs_osds=1)
+        parent = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+        space = parent.task.address_space
+        ptes = len(space.page_table)
+        meta, measured = rig.run(self._timed_prepare(rig, 0, parent))
+        closed = tracecli.prepare_cost(ptes, space.resident_bytes)
+        assert abs(measured - closed) <= 1e-9 * closed, (measured, closed)
+
+        # The child reads four heap pages, writes two of them, and grows
+        # the heap by two pages, touching one.
+        child = rig.run(rig.node(1).fork_resume(meta))
+        k1 = rig.kernel(1)
+        heap = next(vma for vma in child.task.address_space.vmas
+                    if vma.kind == VmaKind.HEAP)
+        base = heap.start_vpn
+
+        def touch():
+            for i in range(4):
+                yield from k1.handle_fault(child.task, base + i)
+            for i in range(2):
+                yield from k1.write_page(child.task, base + i, "w%d" % i)
+            grown = heap.end_vpn
+            child.task.address_space.grow(heap, 2)
+            yield from k1.handle_fault(child.task, grown)
+
+        rig.run(touch())
+        table = child.task.address_space.page_table
+        assert table.snapshot is not None
+        assert len(table) == ptes + 1
+        assert len(list(table.materialized())) == 5
+        _, measured = rig.run(self._timed_prepare(rig, 1, child))
+        closed = tracecli.prepare_cost(ptes + 1, 5 * params.PAGE_SIZE)
+        assert abs(measured - closed) <= 1e-9 * closed, (measured, closed)
+
+    def test_internals_quotes_both_cost_cells(self):
+        """§1's Cost cells print the constants :func:`tracecli.prepare_cost`
+        sums, and its prose TC0's first descriptor, so the table cannot
+        drift from the model."""
+        section = _internals_section(1)
+        assert "| %.1f ms + %g ns/PTE |" % (
+            FORK_LOCAL_BASE / params.MS,
+            FORK_LOCAL_PER_PTE / params.US * 1000) in section
+        assert "| %.1f ms + %.2f ms/MB |" % (
+            params.FORK_PREPARE_BASE / params.MS,
+            params.FORK_PREPARE_PER_MB / params.MS) in section
+        rig = PrimitiveRig(num_machines=3, num_dfs_osds=1)
+        parent = rig.run(rig.runtime(0).cold_start(tc0_profile().image))
+        space = parent.task.address_space
+        us = tracecli.prepare_cost(len(space.page_table), space.resident_bytes)
+        assert "%.4f µs" % us in section, us
+
+
 def _time_fault_paths(rig):
     """Time one fault of each :func:`tracecli.fault_cost` path on an
     idle ``rig``: a TC0 parent on m0 writes five heap pages and forks
@@ -698,11 +773,7 @@ class TestFaultCost:
     def test_internals_quotes_every_fault_cost(self):
         """§3's Cost column prints :func:`tracecli.fault_cost`, so the
         table cannot drift from the model."""
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "docs", "INTERNALS.md")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        section = text[text.index("## 3."):text.index("## 4.")]
+        section = _internals_section(3)
         quoted = list(tracecli.fault_cost().values())
         quoted.append(tracecli.fault_cost(reconnect=True)["read"])
         for us in quoted:
@@ -742,11 +813,7 @@ class TestBatchCost:
     def test_internals_quotes_every_batch_cost(self):
         """§3's batch row prints :func:`tracecli.batch_cost`, so the
         table cannot drift from the model."""
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "docs", "INTERNALS.md")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        section = text[text.index("## 3."):text.index("## 4.")]
+        section = _internals_section(3)
         for transport in ("dct", "rc"):
             for npages in tracecli.BATCH_SIZES:
                 us = tracecli.batch_cost(npages, transport)
