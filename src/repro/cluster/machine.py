@@ -58,16 +58,13 @@ class Machine:
     latency is "dominated by initializing the sandbox environment").
     """
 
-    def __init__(self, env, machine_id, rack,
-                 cores=params.CORES_PER_MACHINE,
-                 dram=params.DRAM_PER_MACHINE,
-                 sandbox_slots=params.SANDBOX_INIT_SLOTS):
+    def __init__(self, env, machine_id, rack):
         self.env = env
         self.machine_id = machine_id
         self.rack = rack
-        self.cores = Resource(env, capacity=cores)
-        self.memory = MemoryAccount(dram)
-        self.sandbox_slots = Resource(env, capacity=sandbox_slots)
+        self.cores = Resource(env, capacity=params.CORES_PER_MACHINE)
+        self.memory = MemoryAccount(params.DRAM_PER_MACHINE)
+        self.sandbox_slots = Resource(env, capacity=params.SANDBOX_INIT_SLOTS)
         self.nic = None      # attached by repro.rdma
         self.kernel = None   # attached by repro.kernel
 

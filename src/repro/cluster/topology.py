@@ -13,14 +13,14 @@ class Cluster:
     """A set of machines with a rack-aware latency model."""
 
     def __init__(self, env, num_machines=params.NUM_MACHINES,
-                 num_racks=params.NUM_RACKS, **machine_kwargs):
+                 num_racks=params.NUM_RACKS):
         if num_machines < 1:
             raise ValueError("need at least one machine")
         if num_racks < 1:
             raise ValueError("need at least one rack")
         self.env = env
         self.machines = [
-            Machine(env, machine_id=i, rack=i % num_racks, **machine_kwargs)
+            Machine(env, machine_id=i, rack=i % num_racks)
             for i in range(num_machines)
         ]
         self.num_racks = num_racks

@@ -33,8 +33,7 @@ from .pool import QpPool
 class ConnPlane:
     """Swift-style connection control plane over one MITOSIS deployment."""
 
-    def __init__(self, env, deployment, rpc,
-                 pool_bytes=params.CONNPLANE_POOL_BYTES):
+    def __init__(self, env, deployment, rpc):
         self.env = env
         self.deployment = deployment
         self.rpc = rpc
@@ -49,8 +48,7 @@ class ConnPlane:
         self._invokers = lambda: ()
         for node in deployment.nodes():
             mid = node.machine.machine_id
-            self.pools[mid] = QpPool(env, node.machine, self.counters,
-                                     capacity_bytes=pool_bytes)
+            self.pools[mid] = QpPool(env, node.machine, self.counters)
             self.caches[mid] = AdvertCache(node.machine, self.counters)
             node.connplane = self
             node.service.connplane = self

@@ -51,16 +51,16 @@ class MemoryLayout:
 class ContainerImage:
     """A registered function's container image."""
 
-    def __init__(self, name, layout, image_file_bytes, cold_start_latency,
-                 runtime_overhead_bytes=params.MB):
+    #: Fixed non-page memory of a running instance (runtime structures).
+    runtime_overhead_bytes = params.MB
+
+    def __init__(self, name, layout, image_file_bytes, cold_start_latency):
         self.name = name
         self.layout = layout
         #: Size of the checkpoint/image file C/R must produce and move.
         self.image_file_bytes = image_file_bytes
         #: Full from-scratch start: container build + runtime init (§2.3).
         self.cold_start_latency = cold_start_latency
-        #: Fixed non-page memory of a running instance (runtime structures).
-        self.runtime_overhead_bytes = runtime_overhead_bytes
 
     def __repr__(self):
         return "<ContainerImage %s %.1fMB>" % (

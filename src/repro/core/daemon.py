@@ -17,17 +17,16 @@ from ..rdma.qp import DcQp
 class NetworkDaemon:
     """Caches DCQPs and hands them out round-robin to faulting processes."""
 
-    def __init__(self, env, nic, num_dcqps=8):
+    def __init__(self, env, nic):
         self.env = env
         self.nic = nic
-        self._dcqps = [DcQp(nic) for _ in range(num_dcqps)]
-        self._num_dcqps = num_dcqps
+        self._dcqps = [DcQp(nic) for _ in range(params.NET_DAEMON_DCQPS)]
         self._next = 0
 
     def dcqp(self):
         """A cached DC queue pair — zero connection cost at fork time."""
         qp = self._dcqps[self._next]
-        self._next = (self._next + 1) % self._num_dcqps
+        self._next = (self._next + 1) % params.NET_DAEMON_DCQPS
         return qp
 
 
@@ -45,8 +44,9 @@ class DescriptorService:
         #: armed).  Kept beside ``_table`` so the (descriptor, shadow)
         #: tuple shape every caller relies on is unchanged.
         self._leases = {}
-        #: None = leases disabled (the seed behaviour); else the duration.
-        self.lease_duration = None
+        #: True once :meth:`enable_leases` has run; False (the seed
+        #: behaviour) publishes descriptors that never expire.
+        self.leases_enabled = False
         self.counters = CounterSet()
         #: handler_id -> [(child machine_id, child pid)] — only populated
         #: under the *active* control model, which must know every remote
@@ -77,14 +77,10 @@ class DescriptorService:
         endpoint.register("mitosis.fence_lineage", self._handle_fence)
 
     # --- Leases (rFaaS-style expiry of RDMA-exposed state) ------------------------
-    def enable_leases(self, duration=params.LEASE_DURATION):
-        """Arm lease expiry: descriptors now die unless renewed."""
-        self.lease_duration = duration
-
-    @property
-    def leases_enabled(self):
-        """True once :meth:`enable_leases` has run."""
-        return self.lease_duration is not None
+    def enable_leases(self):
+        """Arm lease expiry: descriptors now die unless renewed within
+        :data:`~repro.params.LEASE_DURATION`."""
+        self.leases_enabled = True
 
     def lease_expiry(self, handler_id):
         """Absolute expiry time of a descriptor's lease, or None."""
@@ -94,7 +90,7 @@ class DescriptorService:
         """Renew a published descriptor's lease; returns the new expiry."""
         if not self.leases_enabled or handler_id not in self._table:
             return None
-        expiry = self.env.now + self.lease_duration
+        expiry = self.env.now + params.LEASE_DURATION
         self._leases[handler_id] = expiry
         return expiry
 
@@ -139,7 +135,7 @@ class DescriptorService:
         self._table[descriptor.handler_id] = (descriptor, shadow_task)
         if self.leases_enabled:
             self._leases[descriptor.handler_id] = (
-                self.env.now + self.lease_duration)
+                self.env.now + params.LEASE_DURATION)
 
     def retract(self, descriptor):
         """Unpublish a descriptor and free its memory."""

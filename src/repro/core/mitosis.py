@@ -430,7 +430,7 @@ class Mitosis:
         self.control_target = self.nic._new_target(user_key=0xC0)
         self.nic.target_pool.prefill_at_boot()
 
-    def start_lease_daemon(self, period=params.LEASE_RENEW_PERIOD):
+    def start_lease_daemon(self):
         """Start the parent-side renewal loop: periodically re-stamp every
         live descriptor's lease and sweep the over-due ones."""
         if self._lease_proc is not None and self._lease_proc.is_alive:
@@ -439,7 +439,7 @@ class Mitosis:
         def loop():
             try:
                 while True:
-                    yield self.env.timeout(period)
+                    yield self.env.timeout(params.LEASE_RENEW_PERIOD)
                     for hid in list(self.service._table):
                         _, shadow = self.service._table[hid]
                         if shadow.state != "dead":

@@ -113,11 +113,9 @@ def run_factor_analysis(num_invokers=4, requests_per_invoker=50, seed=0,
     ]
     profile = profile or tc0_profile()
     for label, overrides in configs:
-        fn = FnCluster(MitosisPolicy(
-            enable_sharing=overrides["enable_sharing"]),
-            num_invokers=num_invokers, num_machines=num_invokers + 3,
-            num_dfs_osds=2, seed=seed, transport=overrides["transport"],
-            enable_sharing=overrides["enable_sharing"])
+        fn = FnCluster(MitosisPolicy(), num_invokers=num_invokers,
+                       num_machines=num_invokers + 3, num_dfs_osds=2,
+                       seed=seed, **overrides)
 
         def setup():
             yield from fn.register(profile)

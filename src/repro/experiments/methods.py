@@ -6,13 +6,11 @@ from ..fn import CriuPolicy, FnCachingPolicy, IdealCachePolicy, MitosisPolicy
 def policy_for(method, cache_instances=16, fn_keepalive=None):
     """Build the start policy for a §6 comparing target by name."""
     if method == "mitosis":
-        return MitosisPolicy(enable_sharing=True)
-    if method == "mitosis-remote":
-        return MitosisPolicy(enable_sharing=False)
+        return MitosisPolicy()
     if method == "criu-tmpfs":
-        return CriuPolicy(mode="tmpfs", lazy=True)
+        return CriuPolicy(mode="tmpfs")
     if method == "criu-remote":
-        return CriuPolicy(mode="dfs", lazy=True)
+        return CriuPolicy(mode="dfs")
     if method == "cache-ideal":
         return IdealCachePolicy(instances_per_invoker=cache_instances)
     if method == "fn-cache":

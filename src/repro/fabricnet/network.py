@@ -120,13 +120,12 @@ class FabricNetwork:
     rate loop so marking produces backpressure before the caps hit.
     """
 
-    def __init__(self, env, cluster, mode="dcqcn", topology=None):
+    def __init__(self, env, cluster, mode="dcqcn"):
         if mode not in ("flat", "dcqcn"):
             raise ValueError("unknown fabric mode %r" % (mode,))
         self.env = env
         self.mode = mode
-        self.topology = (topology if topology is not None
-                         else ClosFabricTopology(cluster))
+        self.topology = ClosFabricTopology(cluster)
         self._flows = {}
         self.counters = CounterSet()
 

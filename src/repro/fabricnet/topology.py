@@ -138,12 +138,10 @@ class ClosFabricTopology:
     onto.  Same-rack paths never touch the spine.
     """
 
-    def __init__(self, cluster,
-                 host_bandwidth=params.FABRIC_HOST_BANDWIDTH,
-                 oversubscription=params.FABRIC_OVERSUBSCRIPTION):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.host_bandwidth = host_bandwidth
-        self.oversubscription = oversubscription
+        self.host_bandwidth = params.FABRIC_HOST_BANDWIDTH
+        self.oversubscription = params.FABRIC_OVERSUBSCRIPTION
         self.host_up = {}
         self.host_down = {}
         self.rack_of = {}
@@ -153,11 +151,12 @@ class ClosFabricTopology:
             self.rack_of[mid] = machine.rack
             racks.setdefault(machine.rack, []).append(mid)
             self.host_up[mid] = FabricLink(
-                "host-up:m%d" % mid, host_bandwidth)
+                "host-up:m%d" % mid, self.host_bandwidth)
             self.host_down[mid] = FabricLink(
-                "host-down:m%d" % mid, host_bandwidth)
+                "host-down:m%d" % mid, self.host_bandwidth)
         hosts_per_rack = max(len(members) for members in racks.values())
-        tor_capacity = hosts_per_rack * host_bandwidth / oversubscription
+        tor_capacity = (hosts_per_rack * self.host_bandwidth
+                        / self.oversubscription)
         self.tor_up = {}
         self.tor_down = {}
         for rack in sorted(racks):

@@ -31,11 +31,9 @@ from .invoker import Invoker
 class ResilienceConfig:
     """Knobs for the gray-failure layer (see :meth:`FnCluster.enable_resilience`)."""
 
-    def __init__(self, deadline, retry_budget):
+    def __init__(self, deadline):
         #: End-to-end invocation deadline (relative, sim us), or None.
         self.deadline = deadline
-        #: Retries granted per invocation across all layers, or None.
-        self.retry_budget = retry_budget
 
 
 class FnCluster:
@@ -44,13 +42,12 @@ class FnCluster:
     def __init__(self, policy, num_invokers=params.NUM_INVOKERS,
                  num_machines=params.NUM_MACHINES, num_dfs_osds=2,
                  seed=0, enable_sharing=True, transport="dct",
-                 access_control="passive", prefetch_depth=0,
-                 batch_pages=None, env=None):
+                 prefetch_depth=0, batch_pages=None):
         if num_machines < num_invokers + num_dfs_osds:
             raise ValueError(
                 "%d machines cannot host %d invokers + %d OSDs"
                 % (num_machines, num_invokers, num_dfs_osds))
-        self.env = env or Environment()
+        self.env = Environment()
         self.policy = policy
         self.streams = SeededStreams(seed)
         self.cluster = Cluster(self.env, num_machines=num_machines)
@@ -76,8 +73,7 @@ class FnCluster:
             self.env, self.cluster, self.fabric, self.rpc,
             [inv.runtime for inv in self.invokers],
             enable_sharing=enable_sharing, transport=transport,
-            access_control=access_control, prefetch_depth=prefetch_depth,
-            batch_pages=batch_pages)
+            prefetch_depth=prefetch_depth, batch_pages=batch_pages)
 
         self.functions = {}
         self.records = []
@@ -168,9 +164,7 @@ class FnCluster:
                     deadline_at=(
                         None if self.resilience.deadline is None
                         else submitted_at + self.resilience.deadline),
-                    retry_budget=(
-                        None if self.resilience.retry_budget is None
-                        else RetryBudget(self.resilience.retry_budget)))
+                    retry_budget=RetryBudget(params.FN_RETRY_BUDGET))
                 self.contexts.append(ctx)
             max_attempts = (
                 1 if self.faults is None and self.resilience is None
@@ -483,13 +477,13 @@ class FnCluster:
         return choice
 
     # --- Fault wiring ----------------------------------------------------------------
-    def enable_faults(self, schedule=None, leases=True, heartbeats=True,
-                      lease_daemons=True):
+    def enable_faults(self, schedule=None):
         """Install a :class:`FaultInjector` and arm every layer.
 
         Wires crash/restart hooks for each invoker, connects the MITOSIS
-        deployment (deadlines + leases), starts the LB health monitor,
-        and optionally applies a :class:`~repro.faults.FaultSchedule`.
+        deployment (deadlines, leases and their renewal daemons), starts
+        the LB health monitor, and optionally applies a
+        :class:`~repro.faults.FaultSchedule`.
         Idempotent apart from ``schedule``, which arms on every call.
         Returns the injector.
         """
@@ -500,11 +494,9 @@ class FnCluster:
             self.faults.install(self.fabric)
             for invoker in self.invokers:
                 self._wire_invoker_hooks(invoker)
-            self.deployment.connect_faults(self.faults, leases=leases,
-                                           lease_daemons=lease_daemons)
-            if heartbeats:
-                self.monitor = HealthMonitor(self)
-                self.monitor.start()
+            self.deployment.connect_faults(self.faults, lease_daemons=True)
+            self.monitor = HealthMonitor(self)
+            self.monitor.start()
             # Lineage fault tolerance rides the fault era: arm it here so
             # REPRO_SEED_REPLICAS=K works without code changes.  With the
             # default (0 replicas) this is a no-op and the event sequence
@@ -534,7 +526,7 @@ class FnCluster:
         self.fabric.net = FabricNetwork(self.env, self.cluster, mode=mode)
         return self.fabric.net
 
-    def enable_connplane(self, pool_bytes=params.CONNPLANE_POOL_BYTES):
+    def enable_connplane(self):
         """Arm the RDMA connection control plane (``repro.connplane``).
 
         Installs one :class:`~repro.connplane.ConnPlane` over the MITOSIS
@@ -548,27 +540,26 @@ class FnCluster:
         """
         if self.connplane is None:
             from ..connplane import ConnPlane
-            self.connplane = ConnPlane(self.env, self.deployment, self.rpc,
-                                       pool_bytes=pool_bytes)
+            self.connplane = ConnPlane(self.env, self.deployment, self.rpc)
             self.connplane.attach_invokers(lambda: self.invokers)
         return self.connplane
 
-    def enable_resilience(self, deadline=params.FN_INVOCATION_DEADLINE,
-                          retry_budget=params.FN_RETRY_BUDGET):
+    def enable_resilience(self, deadline=params.FN_INVOCATION_DEADLINE):
         """Arm the gray-failure & overload layer; returns the config.
 
         Every invocation then carries an
         :class:`~repro.resilience.InvocationContext` (end-to-end
-        ``deadline`` + shared ``retry_budget``) down through admission,
+        ``deadline`` + a retry budget of
+        :data:`~repro.params.FN_RETRY_BUDGET`) down through admission,
         paging, and RPC; admission waits become bounded; the pager's RPC
         fallback gains per-peer circuit breakers and its DCT reads gain
         hedging; the health monitor scores EWMA ping latency into
-        placement suspicion.  Pass ``deadline=None`` /
-        ``retry_budget=None`` to disable either half.  Without this call
-        behaviour is byte-identical to the seed.
+        placement suspicion.  Pass ``deadline=None`` to disable the
+        deadline.  Without this call behaviour is byte-identical to the
+        seed.
         """
         if self.resilience is None:
-            self.resilience = ResilienceConfig(deadline, retry_budget)
+            self.resilience = ResilienceConfig(deadline)
             self.deployment.enable_resilience()
         return self.resilience
 
@@ -625,20 +616,17 @@ class FnCluster:
             self.faults.stop_drivers()
 
     # --- Metrics --------------------------------------------------------------------
-    def start_memory_sampler(self, period=5 * params.SEC,
-                             exclude_invokers=()):
+    def start_memory_sampler(self, period=5 * params.SEC):
         """Start a background process sampling total invoker memory.
 
         Returns the :class:`TimeSeries` it fills (stop via the returned
         process if needed; it runs until the simulation ends).
         """
         series = TimeSeries("invoker-memory")
-        excluded = set(exclude_invokers)
 
         def _sampler():
             while True:
-                total = sum(i.memory_bytes() for i in self.invokers
-                            if i.index not in excluded)
+                total = sum(i.memory_bytes() for i in self.invokers)
                 series.sample(self.env.now, total)
                 yield self.env.timeout(period)
 

@@ -28,14 +28,9 @@ from ..sim import Interrupt
 class HealthMonitor:
     """One watch process per invoker, pinging from the LB machine."""
 
-    def __init__(self, fn_cluster, period=params.FN_HEARTBEAT_PERIOD,
-                 timeout=params.FN_HEARTBEAT_TIMEOUT,
-                 miss_limit=params.FN_HEARTBEAT_MISS_LIMIT):
+    def __init__(self, fn_cluster):
         self.fn = fn_cluster
         self.env = fn_cluster.env
-        self.period = period
-        self.timeout = timeout
-        self.miss_limit = miss_limit
         self._procs = []
         for invoker in fn_cluster.invokers:
             self._register_ping(invoker)
@@ -71,21 +66,22 @@ class HealthMonitor:
         scoring = self.fn.resilience is not None
         try:
             while True:
-                yield self.env.timeout(self.period)
+                yield self.env.timeout(params.FN_HEARTBEAT_PERIOD)
                 pinged_at = self.env.now
                 try:
                     yield from self.fn.rpc.call(
                         self.fn.lb_machine, invoker.machine,
                         "fn.ping", {},
-                        request_bytes=16, deadline=self.timeout,
-                        retries=0)
+                        request_bytes=16,
+                        deadline=params.FN_HEARTBEAT_TIMEOUT, retries=0)
                 except (RpcTimeout, ConnectionError_, RpcError):
                     misses += 1
                     self.fn.counters.incr("heartbeat_misses")
                     if scoring:
                         self._raise_suspicion(
                             invoker, params.FN_SUSPICION_MISS_STEP)
-                    if misses == self.miss_limit and invoker.admitting:
+                    if (misses == params.FN_HEARTBEAT_MISS_LIMIT
+                            and invoker.admitting):
                         invoker.admitting = False
                         self.fn.counters.incr("invokers_evicted")
                         self.fn.recovery.mark_down(

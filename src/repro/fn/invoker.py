@@ -10,8 +10,7 @@ from ..sim import Gate, Resource
 class Invoker:
     """One Fn invoker machine."""
 
-    def __init__(self, env, runtime, index,
-                 concurrency=params.FN_INVOKER_CONCURRENCY):
+    def __init__(self, env, runtime, index):
         self.env = env
         self.runtime = runtime
         self.kernel = runtime.kernel
@@ -19,7 +18,8 @@ class Invoker:
         self.index = index
         #: Bounded request admission: requests queue FIFO behind slow
         #: (cold/stalled) starts — the paper's §6.2 queuing effect.
-        self.admission = Resource(env, capacity=concurrency)
+        self.admission = Resource(env,
+                                  capacity=params.FN_INVOKER_CONCURRENCY)
         #: In-flight invocations (load-balancing signal).
         self.outstanding = 0
         #: function name -> deque of (paused container, cached_at).

@@ -153,11 +153,10 @@ class IdealCachePolicy(StartPolicy):
 class CriuPolicy(StartPolicy):
     """Optimized CRIU restore (lean containers + on-demand restore)."""
 
-    def __init__(self, mode="tmpfs", lazy=True):
+    def __init__(self, mode="tmpfs"):
         if mode not in ("tmpfs", "dfs"):
             raise ValueError("mode must be 'tmpfs' or 'dfs'")
         self.mode = mode
-        self.lazy = lazy
         self.name = "criu-tmpfs" if mode == "tmpfs" else "criu-remote"
 
     def provision(self, fn_cluster, function):
@@ -182,7 +181,7 @@ class CriuPolicy(StartPolicy):
         else:
             source = DfsSource(env, fn_cluster.dfs, invoker.machine)
         container = yield from restore(env, invoker.runtime, source,
-                                       function.name, lazy=self.lazy)
+                                       function.name, lazy=True)
         invoker.track(container)
         return container, "criu"
 
@@ -195,24 +194,23 @@ class MitosisPolicy(StartPolicy):
     """One cached seed per function; everything else is remote-forked (§5).
 
     ``placement`` picks where each seed lives: ``"least-memory"`` (the
-    default, balancing invoker memory pressure), ``"random"`` (what the
-    paper's prototype currently does), or ``"round-robin"``.
+    default, balancing invoker memory pressure) or ``"rack-spread"``
+    (the rack hosting the fewest seeds, for cross-rack incast).  Page
+    sharing is a property of the deployment, not of the policy:
+    ``FnCluster(enable_sharing=...)`` switches it.
     """
 
     name = "mitosis"
 
-    PLACEMENTS = ("least-memory", "random", "round-robin", "rack-spread")
+    PLACEMENTS = ("least-memory", "rack-spread")
 
-    def __init__(self, enable_sharing=True, placement="least-memory",
-                 durable_seed=False):
+    def __init__(self, placement="least-memory", durable_seed=False):
         if placement not in self.PLACEMENTS:
             raise ValueError("placement must be one of %s" % (self.PLACEMENTS,))
-        self.enable_sharing = enable_sharing
         self.placement = placement
         #: Also checkpoint each seed to the DFS at provision time, so a
         #: start can degrade to CRIU-from-DFS when every fork path is dead.
         self.durable_seed = durable_seed
-        self._next_rr = 0
         #: function name -> (seed invoker, seed container, fork meta).
         self.seeds = {}
         self.counters = CounterSet()
@@ -221,13 +219,6 @@ class MitosisPolicy(StartPolicy):
 
     def _place_seed(self, fn_cluster, function):
         invokers = fn_cluster.invokers
-        if self.placement == "random":
-            return fn_cluster.streams.choice(
-                "seed-placement-%s" % function.name, invokers)
-        if self.placement == "round-robin":
-            invoker = invokers[self._next_rr % len(invokers)]
-            self._next_rr += 1
-            return invoker
         if self.placement == "rack-spread":
             # ToR-domain-aware: seeds go to the rack hosting the fewest
             # seeds so far (then least-memory within it), spreading the

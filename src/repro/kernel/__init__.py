@@ -7,7 +7,13 @@ access-control layer can revoke RDMA permissions first.
 """
 
 from .cgroups import Cgroup, CgroupPool, NamespaceSet
-from .errors import BadDescriptorError, KernelError, OomKilled, SegmentationFault
+from .errors import (
+    BadDescriptorError,
+    KernelError,
+    OomKilled,
+    SegmentationFault,
+    TaskExited,
+)
 from .frames import Frame, FrameAllocator
 from .kernel import (
     FORK_LOCAL_BASE,
@@ -41,6 +47,7 @@ __all__ = [
     "SegmentationFault",
     "SwapStore",
     "Task",
+    "TaskExited",
     "Vma",
     "VmaKind",
 ]

@@ -15,16 +15,14 @@ class Cgroup:
 
     _ids = count(1)
 
-    def __init__(self, memory_limit=None, cpu_shares=1024):
+    def __init__(self):
         self.cgroup_id = next(Cgroup._ids)
-        self.memory_limit = memory_limit
-        self.cpu_shares = cpu_shares
+        self.memory_limit = None
         self.in_use = False
 
-    def assign(self, memory_limit=None, cpu_shares=1024):
-        """Configure limits and mark the cgroup busy."""
+    def assign(self, memory_limit=None):
+        """Set the memory limit and mark the cgroup busy."""
         self.memory_limit = memory_limit
-        self.cpu_shares = cpu_shares
         self.in_use = True
 
     def release(self):
@@ -39,10 +37,9 @@ class Cgroup:
 class CgroupPool:
     """Pool of ready cgroups; refills asynchronously after each take."""
 
-    def __init__(self, env, size=params.CGROUP_POOL_SIZE):
+    def __init__(self, env):
         self.env = env
-        self.size = size
-        self._free = [Cgroup() for _ in range(size)]
+        self._free = [Cgroup() for _ in range(params.CGROUP_POOL_SIZE)]
         self.takes = 0
         self.slow_creates = 0
 
@@ -63,12 +60,12 @@ class CgroupPool:
     def give_back(self, cgroup):
         """Return a cgroup to the pool."""
         cgroup.release()
-        if len(self._free) < self.size:
+        if len(self._free) < params.CGROUP_POOL_SIZE:
             self._free.append(cgroup)
 
     def _refill_one(self):
         yield self.env.timeout(params.CGROUP_POOL_REFILL_LATENCY)
-        if len(self._free) < self.size:
+        if len(self._free) < params.CGROUP_POOL_SIZE:
             self._free.append(Cgroup())
 
     @property

@@ -19,6 +19,17 @@ class BadDescriptorError(KernelError):
     """A container descriptor failed validation (bad id or key)."""
 
 
+class TaskExited(KernelError):
+    """A fault would map a frame into a task that exited while the fault
+    slept: the exit already swept the task's table, so the frame would
+    leak."""
+
+    def __init__(self, task):
+        super().__init__("pid=%s exited before its fault mapped a frame"
+                         % (getattr(task, "pid", "?"),))
+        self.task = task
+
+
 class OomKilled(KernelError):
     """A task exceeded its cgroup memory limit and was killed."""
 

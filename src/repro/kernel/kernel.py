@@ -11,7 +11,7 @@ from itertools import count
 from .. import params
 from ..metrics import CounterSet
 from .cgroups import CgroupPool
-from .errors import KernelError, OomKilled, SegmentationFault
+from .errors import KernelError, OomKilled, SegmentationFault, TaskExited
 from .frames import FrameAllocator
 from .process import Task
 
@@ -105,7 +105,7 @@ class Kernel:
         self.swap.free(slots)
         self.tasks.pop(task.pid, None)
 
-    def warm(self, task, content_tag="init"):
+    def warm(self, task):
         """Materialize frames for every VMA page (builds a warmed parent).
 
         Setup helper: charges no simulated time; experiment clocks start
@@ -118,7 +118,7 @@ class Kernel:
                 if not pte.present:
                     pte.map_frame(
                         self.frames.alloc(content=self._content_token(
-                            task, vpn, content_tag)),
+                            task, vpn, "init")),
                         writable=vma.writable)
 
     @staticmethod
@@ -230,6 +230,10 @@ class Kernel:
         return pte
 
     def _install(self, task, pte, vma, content):
+        """Map a fresh frame holding ``content`` after a fault's sleep;
+        a task that exited meanwhile gets :class:`TaskExited` instead."""
+        if task.state == "dead":
+            raise TaskExited(task)
         self._charge_cgroup(task)
         pte.map_frame(self.frames.alloc(content=content),
                       writable=vma.writable)
@@ -251,6 +255,8 @@ class Kernel:
         yield self.env.timeout(
             params.FRAME_ALLOC_LATENCY
             + params.transfer_time(params.PAGE_SIZE, params.DRAM_COPY_BANDWIDTH))
+        if task.state == "dead":
+            raise TaskExited(task)
         old = pte.break_cow_to(self.frames.alloc(content=pte.frame.content))
         self.frames.unref(old)
 

@@ -53,16 +53,15 @@ class Task:
 
     _pids = count(100)
 
-    def __init__(self, kernel, name="task", address_space=None,
-                 registers=None, cgroup=None, namespaces=None):
+    def __init__(self, kernel, name="task", registers=None, namespaces=None):
         self.kernel = kernel
         self.machine = kernel.machine
         self.pid = next(Task._pids)
         self.name = name
-        self.address_space = address_space or AddressSpace()
+        self.address_space = AddressSpace()
         self.registers = registers or Registers()
         self.fd_table = {}
-        self.cgroup = cgroup or Cgroup()
+        self.cgroup = Cgroup()
         self.namespaces = namespaces or NamespaceSet()
         self.state = "runnable"
         #: Multi-hop fork lineage: [(machine, descriptor)] of elder

@@ -33,8 +33,8 @@ class LineageRegistry:
     identical registry (asserted by ``audit_lineage``).
     """
 
-    def __init__(self, wal=None):
-        self.wal = wal if wal is not None else WriteAheadLog()
+    def __init__(self):
+        self.wal = WriteAheadLog()
         #: name -> current generation (monotonic fencing token).
         self._generations = {}
         #: name -> {"invoker": index, "handler_id": int} for the primary.
@@ -59,7 +59,7 @@ class LineageRegistry:
         are *not* re-journaled; the returned registry adopts ``wal`` so
         subsequent mutations continue the same history.
         """
-        registry = cls(wal=WriteAheadLog())
+        registry = cls()
         for record in wal:
             registry._apply(record)
         registry.wal = wal

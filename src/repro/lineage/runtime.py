@@ -30,6 +30,7 @@ The runtime mutates authoritative state only through the journaled
 
 from .. import params
 from ..faults.errors import FaultError
+from ..kernel import TaskExited
 from ..metrics import CounterSet
 from ..rdma import ConnectionError_, RpcError
 from ..rdma.rpc import RpcTimeout
@@ -38,8 +39,10 @@ from ..sim import Interrupt
 from .registry import LineageRegistry
 
 #: What replication/promotion steps may raise when the cluster is faulty
-#: (mirrors the policy layer's ``_START_FAULTS``).
-_RECOVERABLE = (FaultError, RpcError, RpcTimeout, ConnectionError_)
+#: (mirrors the policy layer's ``_START_FAULTS``), plus a replica that a
+#: crash wiped while its copy stream was mid-fault.
+_RECOVERABLE = (FaultError, RpcError, RpcTimeout, ConnectionError_,
+                TaskExited)
 
 
 class _Member:

@@ -14,7 +14,7 @@ from .. import params
 CONTROLLER_OVERHEAD = 0.5 * params.MS
 #: Publishing an activation to the per-invoker topic (Kafka-style bus).
 BUS_PUBLISH_LATENCY = 1.0 * params.MS
-#: Default /init cost: load + compile the user code inside the runtime.
+#: The /init cost: load + compile the user code inside the runtime.
 DEFAULT_INIT_LATENCY = 55.0 * params.MS
 #: Starting a *generic* (not yet specialized) runtime container.
 STEMCELL_START_LATENCY = 120.0 * params.MS
@@ -26,11 +26,10 @@ WARM_KEEPALIVE = 60.0 * params.SEC
 class Action:
     """One registered OpenWhisk action."""
 
-    def __init__(self, profile, init_latency=DEFAULT_INIT_LATENCY):
+    def __init__(self, profile):
         self.profile = profile
         self.name = profile.name
         self.image = profile.image
-        self.init_latency = init_latency
 
     def __repr__(self):
         return "<Action %s>" % self.name

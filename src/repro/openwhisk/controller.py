@@ -20,6 +20,7 @@ from .actions import (
     Action,
     BUS_PUBLISH_LATENCY,
     CONTROLLER_OVERHEAD,
+    DEFAULT_INIT_LATENCY,
 )
 from .invoker import OwInvoker
 
@@ -29,18 +30,18 @@ class OpenWhiskCluster:
 
     def __init__(self, mode="vanilla", num_invokers=3, num_machines=6,
                  seed=0, invoker_concurrency=params.FN_INVOKER_CONCURRENCY,
-                 stemcells=2, generic_image=None, env=None):
+                 stemcells=2):
         if mode not in ("vanilla", "mitosis"):
             raise ValueError("mode must be 'vanilla' or 'mitosis'")
         self.mode = mode
-        self.env = env or Environment()
+        self.env = Environment()
         self.streams = SeededStreams(seed)
         self.cluster = Cluster(self.env, num_machines=num_machines)
         self.fabric = RdmaFabric(self.env, self.cluster)
         self.rpc = RpcRuntime(self.env, self.fabric)
         self.kernels = [Kernel(self.env, m) for m in self.cluster]
         self.runtimes = [ContainerRuntime(self.env, k) for k in self.kernels]
-        generic_image = generic_image or hello_world_image()
+        generic_image = hello_world_image()
 
         invoker_machines, _ = self.cluster.split_roles(num_invokers)
         self.invokers = [
@@ -62,15 +63,12 @@ class OpenWhiskCluster:
                 self.env.process(self._worker_loop(invoker))
 
     # --- Registration ---------------------------------------------------------
-    def register(self, profile, init_latency=None):
+    def register(self, profile):
         """Register an action; in MITOSIS mode also plant its seed.
 
         Generator returning the :class:`Action`.
         """
-        kwargs = {}
-        if init_latency is not None:
-            kwargs["init_latency"] = init_latency
-        action = Action(profile, **kwargs)
+        action = Action(profile)
         if action.name in self.actions:
             raise ValueError("action %r already registered" % action.name)
         self.actions[action.name] = action
@@ -78,7 +76,7 @@ class OpenWhiskCluster:
             invoker = min(self.invokers,
                           key=lambda i: i.machine.memory.used)
             seed = yield from invoker.runtime.cold_start(action.image)
-            yield self.env.timeout(action.init_latency)  # specialize seed
+            yield self.env.timeout(DEFAULT_INIT_LATENCY)  # specialize seed
             invoker.live_containers.add(seed)
             node = self.deployment.node(invoker.machine)
             meta = yield from node.fork_prepare(seed)
@@ -142,7 +140,7 @@ class OpenWhiskCluster:
         else:
             generic, prewarmed = yield from invoker.stemcells.take()
             invoker.live_containers.add(generic)
-            yield self.env.timeout(action.init_latency)  # /init
+            yield self.env.timeout(DEFAULT_INIT_LATENCY)  # /init
             container = generic
             activation.start_kind = ("prewarm-init" if prewarmed
                                      else "cold-init")

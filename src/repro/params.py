@@ -41,6 +41,12 @@ RCQP_CREATE_LATENCY = SEC / RCQP_CREATE_RATE_PER_SEC
 DCT_RECONNECT_LATENCY = 0.8 * US
 #: DC target creation at the parent (§4.3: "DCQP only uses 200us at the parent").
 DC_TARGET_CREATE_LATENCY = 200.0 * US
+#: DC targets each RNIC keeps pre-created, so fork_prepare never pays
+#: target creation on its critical path (§4.3).
+DC_TARGET_POOL_SIZE = 16
+#: DC queue pairs each MITOSIS network daemon caches and hands out
+#: round-robin, so a fork creates no connection (§4.2).
+NET_DAEMON_DCQPS = 8
 #: Extra per-request processing for DCT vs RC (§4.2 discussion: prohibitive
 #: for <64B payloads, negligible at page granularity).
 DCT_REQUEST_OVERHEAD = 0.2 * US
@@ -93,8 +99,10 @@ LEAN_CONTAINERIZATION = 10.0 * MS
 CACHE_UNPAUSE_LATENCY = 0.385 * MS
 #: Restoring a connected socket via TCP repair (§4.1: "4ms for a connected socket").
 SOCKET_RESTORE_LATENCY = 4.0 * MS
-#: Per-machine concurrency for sandbox initialisation (calibrated so one
-#: invoker peaks at ~600 MITOSIS forks/s = 46.4% of caching's 1,300/s, §6.1).
+#: Per-machine concurrency for sandbox initialisation.  A MITOSIS fork
+#: holds a slot for LEAN_CONTAINERIZATION + DESCRIPTOR_RESTORE_BASE =
+#: 10.4 ms, so one invoker peaks at 6 / 10.4 ms = 576.9 forks/s, 44.4% of
+#: caching's 1,300/s (the paper: 46.4%, §6.1); tests/test_fn.py pins it.
 SANDBOX_INIT_SLOTS = 6
 #: Number of cgroups kept ready in the lean-container pool per machine.
 CGROUP_POOL_SIZE = 64
@@ -182,8 +190,6 @@ LB_DISPATCH_LATENCY = 150.0 * US
 FN_INVOKER_CONCURRENCY = 8
 #: Keepalive for FN-cached containers (§6.2: evicted after 30 seconds).
 FN_CACHE_KEEPALIVE = 30.0 * SEC
-#: Keepalive for MITOSIS seed containers (§5: "1 hour vs. 1 minute").
-SEED_KEEPALIVE = 1.0 * 3600 * SEC
 #: Fn-flow data-passing baseline (Fig. 14a): an HTTP/Java relay service —
 #: heavyweight per-hop latency and modest goodput, which is why MITOSIS
 #: wins above the piggyback threshold (26-66% faster, §6.3).

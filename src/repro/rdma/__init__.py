@@ -7,7 +7,7 @@ and connection-less datagram RPC.
 
 from .dct import DcTarget, DcTargetPool, DctKey
 from .errors import ConnectionError_, RdmaError, RegistrationError, RemoteAccessError
-from .fabric import LoopbackFabric, RdmaFabric
+from .fabric import RdmaFabric
 from .mr import MemoryRegion, MrTable
 from .nic import Rnic
 from .qp import DcQp, RcQp, ReadLegs, UdQp, read_legs
@@ -19,7 +19,6 @@ __all__ = [
     "DcTarget",
     "DcTargetPool",
     "DctKey",
-    "LoopbackFabric",
     "MemoryRegion",
     "MrTable",
     "RcQp",

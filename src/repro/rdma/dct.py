@@ -90,23 +90,15 @@ class DcTargetPool:
     creation on the critical path.
     """
 
-    def __init__(self, env, nic, size=16):
+    def __init__(self, env, nic):
         self.env = env
         self.nic = nic
-        self.size = size
         self._free = []
         self._created = 0
 
-    def prefill(self):
-        """Create the initial pool, paying creation time (a generator)."""
-        for _ in range(self.size):
-            yield self.env.timeout(params.DC_TARGET_CREATE_LATENCY)
-            self._free.append(self.nic._new_target(user_key=self._created))
-            self._created += 1
-
     def prefill_at_boot(self):
         """Fill the pool before the experiment clock starts (no sim time)."""
-        while len(self._free) < self.size:
+        while len(self._free) < params.DC_TARGET_POOL_SIZE:
             self._free.append(self.nic._new_target(user_key=self._created))
             self._created += 1
 
@@ -133,7 +125,7 @@ class DcTargetPool:
 
     def _refill_one(self):
         yield self.env.timeout(params.DC_TARGET_CREATE_LATENCY)
-        if len(self._free) < self.size:
+        if len(self._free) < params.DC_TARGET_POOL_SIZE:
             self._free.append(self.nic._new_target(user_key=self._created))
             self._created += 1
 

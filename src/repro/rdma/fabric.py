@@ -10,7 +10,9 @@ from .qp import link_time
 
 
 class RdmaFabric:
-    """Attaches RNICs to machines and provides the transfer primitives."""
+    """Attaches RNICs to machines (every machine of the cluster unless
+    ``rdma_machines`` names a subset) and provides the transfer
+    primitives."""
 
     def __init__(self, env, cluster, rdma_machines=None):
         self.env = env
@@ -73,10 +75,3 @@ class RdmaFabric:
                 return
         if then > 0:
             yield env.timeout(then)
-
-
-class LoopbackFabric(RdmaFabric):
-    """Single-machine fabric used by unit tests."""
-
-    def __init__(self, env, cluster):
-        super().__init__(env, cluster, rdma_machines=list(cluster))

@@ -16,12 +16,10 @@ from ..metrics import percentile
 class HedgeTracker:
     """Windowed latency observations -> p99-derived hedge delay."""
 
-    def __init__(self, initial_delay=None, pct=None, window=None,
-                 min_samples=None):
+    def __init__(self, initial_delay=None, window=None, min_samples=None):
         self.initial_delay = (params.HEDGE_INITIAL_DELAY
                               if initial_delay is None
                               else float(initial_delay))
-        self.pct = params.HEDGE_PERCENTILE if pct is None else float(pct)
         self.min_samples = (params.HEDGE_MIN_SAMPLES if min_samples is None
                             else int(min_samples))
         self._samples = deque(maxlen=(params.HEDGE_WINDOW if window is None
@@ -35,7 +33,7 @@ class HedgeTracker:
         """The current hedge trigger delay."""
         if len(self._samples) < self.min_samples:
             return self.initial_delay
-        return percentile(list(self._samples), self.pct)
+        return percentile(list(self._samples), params.HEDGE_PERCENTILE)
 
     def __len__(self):
         return len(self._samples)

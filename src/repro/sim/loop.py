@@ -24,8 +24,8 @@ class Environment:
     primitive events, and advances time in :meth:`run`/:meth:`step`.
     """
 
-    def __init__(self, initial_time=0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         #: The pending events: a :mod:`heapq` binary heap of
         #: ``(when, priority, eid, event)`` entries.
         self._queue = []
@@ -86,7 +86,7 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when, value=None):
+    def timeout_at(self, when):
         """An event that fires at the absolute time ``when`` (not before now).
 
         For a wake-up computed as a sum of legs, such as
@@ -108,7 +108,7 @@ class Environment:
             timeout = Timeout.__new__(Timeout)
             Event.__init__(timeout, self)
         timeout._ok = True
-        timeout._value = value
+        timeout._value = None
         timeout._delay = delay
         heappush(self._queue, (when, 1, next(self._eid), timeout))
         return timeout

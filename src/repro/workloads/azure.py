@@ -56,8 +56,7 @@ class SpikeTrace:
             required.append(max(1, math.ceil(concurrency / cores)))
         return required
 
-    def arrival_times(self, streams, scale=1.0, stream_name=None,
-                      burst_size=1):
+    def arrival_times(self, streams, scale=1.0, burst_size=1):
         """Invocation timestamps (us) drawn from the per-minute counts.
 
         ``scale`` uniformly thins the trace so benchmarks can replay the
@@ -72,7 +71,7 @@ class SpikeTrace:
             raise ValueError("scale must be positive")
         if burst_size < 1:
             raise ValueError("burst_size must be >= 1")
-        stream = stream_name or ("azure-%s" % self.name)
+        stream = "azure-%s" % self.name
         arrivals = []
         for minute, count in enumerate(self.minute_counts):
             n = int(round(count * scale))

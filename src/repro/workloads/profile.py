@@ -84,11 +84,10 @@ class ExecutionResult:
         self.finished_at = finished_at
 
 
-def execute(env, container, profile, extra_touch_vpns=None):
+def execute(env, container, profile):
     """Run one invocation of ``profile`` inside ``container``.
 
-    Generator returning an :class:`ExecutionResult`.  ``extra_touch_vpns``
-    lets callers model payload reads (data-sharing experiments).
+    Generator returning an :class:`ExecutionResult`.
     """
     kernel = container.kernel
     task = container.task
@@ -96,8 +95,6 @@ def execute(env, container, profile, extra_touch_vpns=None):
     started_at = env.now
 
     plan = profile.planned_touches(space)
-    if extra_touch_vpns:
-        plan = plan + tuple((vpn, False) for vpn in extra_touch_vpns)
 
     page_table = space.page_table
     for vpn, write in plan:

@@ -1,6 +1,8 @@
-"""Documentation enforcement: every public item carries a docstring, and
-the README states what the code has."""
+"""Documentation enforcement: every public item carries a docstring, the
+README states what the code has, and ``repro.params`` holds no constant
+that nothing reads."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -138,3 +140,45 @@ def test_readme_names_every_experiment():
     match = re.search(r"^# experiments: (.+)$", _readme(), re.M)
     assert match is not None
     assert match.group(1).split() == list(_registry(False))
+
+
+def _names_read(tree):
+    """Every name ``tree`` reads: bare names, attributes (``params.X``)
+    and from-imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_params_constant_is_read():
+    """A constant of ``repro/params.py`` must be read by another module
+    of ``src/repro`` or by another constant's definition."""
+    root = os.path.dirname(repro.__file__)
+    params_path = os.path.join(root, "params.py")
+    with open(params_path, encoding="utf-8") as fh:
+        params_tree = ast.parse(fh.read())
+    constants = {}
+    for node in params_tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    constants[target.id] = node
+    read = set()
+    for name, node in constants.items():
+        read |= _names_read(node.value) - {name}
+    for dirpath, _, filenames in os.walk(root):
+        for filename in filenames:
+            path = os.path.join(dirpath, filename)
+            if filename.endswith(".py") and path != params_path:
+                with open(path, encoding="utf-8") as fh:
+                    read |= _names_read(ast.parse(fh.read()))
+    unread = sorted(set(constants) - read)
+    assert not unread, "params constants nothing reads: %s" % unread

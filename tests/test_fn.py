@@ -230,6 +230,62 @@ class TestMitosisPolicy:
         assert mitosis_mem * 10 < ideal_mem
 
 
+class TestSandboxSlotCeiling:
+    def test_one_invoker_forks_just_below_its_slot_ceiling(self):
+        """An invoker holds a sandbox slot for the lean containerization
+        plus TC0's descriptor rebuild, so its MITOSIS fork rate is capped
+        at SANDBOX_INIT_SLOTS / 10.4 ms = 576.9/s.  A burst of 240 forks
+        submitted at once must not beat that ceiling and must come
+        within 2% of it (the first wave's trap and fetches are the
+        rest)."""
+        ceiling = params.SANDBOX_INIT_SLOTS / (
+            (params.LEAN_CONTAINERIZATION + params.DESCRIPTOR_RESTORE_BASE)
+            / params.SEC)
+        assert ceiling == pytest.approx(576.9, abs=0.05)
+        fn = FnCluster(MitosisPolicy(), num_invokers=1, num_machines=4,
+                       num_dfs_osds=2, seed=0)
+        run(fn, fn.register(tc0_profile()))
+        forks = 240
+        start = fn.env.now
+        procs = [fn.submit("TC0") for _ in range(forks)]
+        for proc in procs:
+            fn.env.run(proc)
+        assert all(r.start_kind == "mitosis" for r in fn.records)
+        assert len(fn.records) == forks
+        rate = forks / ((fn.env.now - start) / params.SEC)
+        assert 0.98 * ceiling <= rate <= ceiling
+
+
+class TestPageSharingSwitch:
+    """Page sharing has one switch, ``FnCluster(enable_sharing=...)``:
+    Fig. 15b's "+DCT" and "+page sharing" rows at smoke size."""
+
+    @staticmethod
+    def _pager_counts(enable_sharing, forks=8):
+        fn = FnCluster(MitosisPolicy(), num_invokers=2, num_machines=5,
+                       num_dfs_osds=2, seed=0, transport="dct",
+                       enable_sharing=enable_sharing)
+        run(fn, fn.register(tc0_profile()))
+        procs = [fn.submit("TC0") for _ in range(forks)]
+        for proc in procs:
+            fn.env.run(proc)
+        assert [r.outcome for r in fn.records] == ["ok"] * forks
+        return {key: sum(node.pager.counters[key]
+                         for node in fn.deployment.nodes())
+                for key in ("shared_hits", "coalesced_faults", "rdma_reads")}
+
+    def test_sharing_off_shares_nothing_and_on_shares(self):
+        off = self._pager_counts(enable_sharing=False)
+        on = self._pager_counts(enable_sharing=True)
+        assert off["shared_hits"] == off["coalesced_faults"] == 0
+        assert on["shared_hits"] > 0 and on["coalesced_faults"] > 0
+        assert on["rdma_reads"] < off["rdma_reads"]
+
+    def test_policy_has_no_sharing_switch(self):
+        with pytest.raises(TypeError):
+            MitosisPolicy(enable_sharing=False)
+
+
 class TestFramework:
     def test_duplicate_registration_rejected(self):
         fn = make_cluster(ColdPolicy())

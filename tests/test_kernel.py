@@ -13,6 +13,7 @@ from repro.kernel import (
     NamespaceSet,
     PageTable,
     SegmentationFault,
+    TaskExited,
     VmaKind,
 )
 from repro.sanitizers import audit_frame_refcounts
@@ -165,6 +166,55 @@ class TestFaults:
             return content
 
         assert run(env, body()) == "payload-7"
+
+    def _exit_mid_fault(self, env, task, fault, exit_after):
+        """Run ``fault`` and exit ``task`` ``exit_after`` us in; returns
+        what the fault raised (None if it returned)."""
+        raised = []
+
+        def faulting():
+            try:
+                yield from fault
+            except KernelError as exc:
+                raised.append(exc)
+
+        def exiting():
+            yield env.timeout(exit_after)
+            task.exit()
+
+        env.process(faulting())
+        env.process(exiting())
+        env.run()
+        return raised[0] if raised else None
+
+    def test_demand_zero_fault_of_an_exited_task_maps_no_frame(self, rig):
+        """A task that exits halfway through a demand-zero fault's frame
+        allocation gets TaskExited, and no frame leaks."""
+        env, _, (k0, _) = rig
+        task = make_task(k0)
+        heap = task.address_space.vmas[1]
+        raised = self._exit_mid_fault(
+            env, task, k0.touch(task, heap.start_vpn, write=True),
+            params.PAGE_FAULT_OVERHEAD + params.FRAME_ALLOC_LATENCY / 2)
+        assert isinstance(raised, TaskExited)
+        assert k0.frames.allocated == 0
+        assert audit_frame_refcounts([k0]) == []
+
+    def test_cow_break_of_an_exited_task_maps_no_frame(self, rig):
+        """A forked child that exits while its write breaks COW gets
+        TaskExited instead of a private copy, and the parent keeps its
+        frames."""
+        env, _, (k0, _) = rig
+        parent = make_task(k0)
+        k0.warm(parent)
+        heap = parent.address_space.vmas[1]
+        child = run(env, k0.fork_local(parent))
+        raised = self._exit_mid_fault(
+            env, child, k0.touch(child, heap.start_vpn, write=True),
+            params.FRAME_ALLOC_LATENCY / 2)
+        assert isinstance(raised, TaskExited)
+        assert k0.frames.allocated == parent.address_space.resident_pages
+        assert audit_frame_refcounts([k0]) == []
 
 
 class TestLocalFork:

@@ -21,18 +21,40 @@ from repro.fn import FnCluster, MitosisPolicy
 from repro.lineage import default_seed_replicas
 from repro.lineage.errors import StaleGeneration
 from repro.lineage.registry import LineageRegistry
+from repro.lineage.runtime import LineageRuntime
 from repro.workloads import tc0_profile
 
 
-def build_cluster(replicas, seed=0, num_invokers=4):
+def build_cluster(replicas, seed=0, num_invokers=4, schedule=()):
     policy = MitosisPolicy(durable_seed=True)
     fn = FnCluster(policy, num_invokers=num_invokers,
                    num_machines=num_invokers + 3, num_dfs_osds=2, seed=seed)
     fn.enable_faults()
     if replicas > 0:
         fn.enable_lineage(replicas=replicas)
+    if schedule:
+        fn.faults.apply(schedule)
     fn.env.run(fn.env.process(fn.register(tc0_profile())))
     return fn, policy
+
+
+def copy_stream_window(monkeypatch):
+    """``(start, end, replica machine id)`` of the one provision-time
+    copy stream of a fail-free ``build_cluster(1)``."""
+    streams = []
+    copy = LineageRuntime._copy_vmas
+
+    def timed(self, member, name, start_index):
+        started = self.env.now
+        yield from copy(self, member, name, start_index)
+        streams.append((started, self.env.now,
+                        member.invoker.machine.machine_id))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LineageRuntime, "_copy_vmas", timed)
+        build_cluster(1)
+    (window,) = streams
+    return window
 
 
 def run_burst(fn, count, spacing=2_000.0):
@@ -108,6 +130,23 @@ class TestReplication:
         assert fn.lineage.counters["pages_replicated"] > 0
         sanitizers.check_lineage(fn.lineage, services=services_of(fn))
         sanitizers.check_rig(fn)
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.7])
+    def test_crash_mid_copy_stream_leaks_no_frame(self, monkeypatch,
+                                                  fraction):
+        """The copier runs unhosted, so a crash of the replica's host
+        does not interrupt it: the crash wipe destroys the replica while
+        one of the copier's page faults is in flight.  That fault must
+        map no frame into the destroyed replica; the copy counts as one
+        failure and every machine's frames audit clean."""
+        start, end, machine_id = copy_stream_window(monkeypatch)
+        crash = MachineCrash(start + fraction * (end - start), machine_id)
+        fn, _policy = build_cluster(1, schedule=[crash])
+        fn.stop_fault_daemons()
+        fn.env.run()
+        assert fn.lineage.counters["replica_copy_failures"] == 1
+        assert fn.lineage.counters["replicas_grown"] == 0
+        assert sanitizers.audit_frame_refcounts(fn.kernels) == []
 
     def test_replica_placement_avoids_primary(self):
         fn, _policy = build_cluster(2)

@@ -84,32 +84,6 @@ class TestRpcCustomWorkers:
         assert max(finish) - min(finish) < 50.0
 
 
-class TestExecutionWithPayloadTouches:
-    def test_extra_touch_vpns_counted(self):
-        from repro.containers import ContainerRuntime, hello_world_image
-        from repro.kernel import Kernel, VmaKind
-        from repro.workloads import execute, tc0_profile
-
-        env = Environment()
-        cluster = Cluster(env, num_machines=1)
-        kernel = Kernel(env, cluster.machine(0))
-        runtime = ContainerRuntime(env, kernel)
-        profile = tc0_profile()
-
-        def body():
-            container = yield from runtime.cold_start(profile.image)
-            extra_vma = container.task.address_space.add_vma(
-                4, VmaKind.ANON)
-            base = yield from execute(env, container, profile)
-            with_extra = yield from execute(
-                env, container, profile,
-                extra_touch_vpns=list(extra_vma.vpns()))
-            return base.pages_touched, with_extra.pages_touched
-
-        base, with_extra = run(env, body())
-        assert with_extra == base + 4
-
-
 class TestReportFormatting:
     def test_none_and_string_cells_render(self):
         from repro.experiments.report import ExperimentReport

@@ -8,7 +8,7 @@ from repro.containers import ContainerRuntime, hello_world_image
 from repro.core import ForkDepthExceeded, MitosisDeployment
 from repro.core.descriptor import PteSnapshot, SnapshotMap
 from repro.core.mitosis import _pte_snapshot
-from repro.kernel import Kernel, KernelError, PageTable
+from repro.kernel import Kernel, KernelError, PageTable, TaskExited
 from repro.rdma import RdmaFabric, RpcError, RpcRuntime
 from repro.sanitizers import audit_frame_refcounts
 from repro.sim import Environment
@@ -1260,3 +1260,45 @@ class TestDescriptorGc:
         from repro.core import ForkMeta
         node0 = deployment.node(cluster.machine(0))
         assert not node0.retire_descriptor(ForkMeta(0, 999, 1))
+
+
+class TestExitMidFault:
+    @pytest.mark.parametrize("sharing", [True, False],
+                             ids=["sharing", "no-sharing"])
+    def test_remote_fault_of_an_exited_child_maps_no_frame(self, sharing):
+        """A child destroyed while its first remote fault's READ is in
+        flight gets TaskExited from that fault, and no frame: the pager
+        skips the dead task, so the kernel must not install behind it
+        into the table the exit already swept."""
+        env, cluster, runtimes, deployment = build_rig(
+            enable_sharing=sharing)
+        parent = start_parent(env, runtimes[0])
+        kernels = [runtime.kernel for runtime in runtimes]
+        node0 = deployment.node(cluster.machine(0))
+        node1 = deployment.node(cluster.machine(1))
+
+        def resume():
+            meta = yield from node0.fork_prepare(parent)
+            return (yield from node1.fork_resume(meta))
+
+        child = run(env, resume())
+        vpn = child.task.address_space.vmas[3].start_vpn
+        outcome = []
+
+        def fault():
+            try:
+                yield from kernels[1].touch(child.task, vpn)
+            except TaskExited:
+                outcome.append("exited")
+
+        def destroy():
+            yield env.timeout(params.PAGE_FAULT_OVERHEAD + 0.5 * params.US)
+            runtimes[1].destroy(child)
+
+        env.process(fault())
+        env.process(destroy())
+        env.run()
+        assert outcome == ["exited"]
+        assert node1.pager.counters["rdma_reads"] == 1
+        assert audit_frame_refcounts(kernels) == []
+        assert kernels[1].frames.allocated == 0

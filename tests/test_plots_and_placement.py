@@ -74,27 +74,12 @@ class TestSeedPlacement:
 
         fn.env.run(fn.env.process(body()))
 
-    def test_round_robin_spreads_seeds(self):
-        fn = self._cluster("round-robin")
-        self._register_many(fn, count=4)
-        indices = [fn.policy.seeds["f%d" % i][0].index for i in range(4)]
-        assert indices == [0, 1, 2, 3]
-
     def test_least_memory_avoids_loaded_invoker(self):
         fn = self._cluster("least-memory")
         self._register_many(fn, count=2)
         first = fn.policy.seeds["f0"][0].index
         second = fn.policy.seeds["f1"][0].index
         assert first != second
-
-    def test_random_is_deterministic_per_seed(self):
-        a = self._cluster("random")
-        self._register_many(a, count=3)
-        b = self._cluster("random")
-        self._register_many(b, count=3)
-        for i in range(3):
-            assert (a.policy.seeds["f%d" % i][0].index
-                    == b.policy.seeds["f%d" % i][0].index)
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):

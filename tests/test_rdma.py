@@ -399,7 +399,7 @@ class TestDcTargetPool:
         nic = fabric.nic_of(cluster.machine(0))
 
         def body():
-            yield from nic.target_pool.prefill()
+            nic.target_pool.prefill_at_boot()
             start = env.now
             target = yield from nic.target_pool.take()
             return env.now - start, target
@@ -424,7 +424,7 @@ class TestDcTargetPool:
         nic = fabric.nic_of(cluster.machine(0))
 
         def body():
-            yield from nic.target_pool.prefill()
+            nic.target_pool.prefill_at_boot()
             before = nic.target_pool.available
             yield from nic.target_pool.take()
             drained = nic.target_pool.available

@@ -6,7 +6,7 @@ import pytest
 
 from repro import params
 from repro.cluster import Cluster
-from repro.rdma import LoopbackFabric, RdmaFabric
+from repro.rdma import RdmaFabric
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -166,7 +166,7 @@ class TestUdChunking:
     def test_loopback_fabric_attaches_all(self):
         env = Environment()
         cluster = Cluster(env, num_machines=3, num_racks=1)
-        fabric = LoopbackFabric(env, cluster)
+        fabric = RdmaFabric(env, cluster)
         assert all(m.nic is not None for m in cluster)
 
 
